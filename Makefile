@@ -51,15 +51,11 @@ fuzz:
 crash:
 	$(GO) test -run 'TestCrash' -count=1 ./internal/pager
 
-# The deleted pre-option-API shims must stay deleted, and the legacy
-# per-DSN setters may only appear inside internal/driver (where the
-# deprecated wrappers live and are tested). Doc files are exempt.
+# The deleted pre-option-API shims and legacy per-DSN setters must stay
+# deleted everywhere, tests included. Doc files are exempt.
 check-deprecated: vet
-	@! grep -rn --include='*.go' -E 'OpenEmbeddedWithCost|ServeWithCost' . \
+	@! grep -rn --include='*.go' -E 'OpenEmbeddedWithCost|ServeWithCost|SetDSNMetrics|SetDSNRetry|SetDSNWireVersion' . \
 		|| { echo 'deleted deprecated symbol referenced'; exit 1; }
-	@! grep -rln --include='*.go' -E 'SetDSNMetrics|SetDSNRetry|SetDSNWireVersion' . \
-		| grep -v '^\./internal/driver/' \
-		|| { echo 'legacy SetDSN* setter used outside internal/driver'; exit 1; }
 
 # Tier-1 verification (ROADMAP.md): everything must stay green.
 tier1: build vet test race race-par race-elastic crash check-deprecated

@@ -19,8 +19,8 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, rounds, stmtcache, pr4, shards, traffic, io, vec, par, elastic, trend or all")
-	out := flag.String("out", "", "output path for the -fig pr4 / shards / traffic / io / vec / par / elastic report")
+	fig := flag.String("fig", "all", "figure to regenerate: 4, 5, 6, rounds, stmtcache, shards, traffic, io, elastic, trend or all")
+	out := flag.String("out", "", "output path for the -fig shards / traffic / io / elastic report")
 	query := flag.String("query", "all", "workload within the figure: pr, sssp, dq or all")
 	quick := flag.Bool("quick", false, "smoke-scale run (pgsim only, small graphs)")
 	nocost := flag.Bool("nocost", false, "disable the calibrated latency model")
@@ -54,22 +54,12 @@ func main() {
 		sc.Partitions = *parts
 	}
 	if *out == "" {
-		switch *fig {
-		case "shards":
-			*out = "BENCH_PR5.json"
-		case "traffic":
-			*out = "BENCH_PR6.json"
-		case "io":
-			*out = "BENCH_PR7.json"
-		case "vec":
-			*out = "BENCH_PR8.json"
-		case "par":
-			*out = "BENCH_PR9.json"
-		case "elastic":
-			*out = "BENCH_PR10.json"
-		default:
-			*out = "BENCH_PR4.json"
-		}
+		*out = map[string]string{
+			"shards":  "BENCH_PR5.json",
+			"traffic": "BENCH_PR6.json",
+			"io":      "BENCH_PR7.json",
+			"elastic": "BENCH_PR10.json",
+		}[*fig]
 	}
 
 	if err := run(*fig, *query, *out, sc); err != nil {
@@ -118,11 +108,6 @@ func run(fig, query, out string, sc bench.Scale) error {
 			return err
 		}
 	}
-	if fig == "pr4" {
-		if err := bench.PR4Fig(ctx, w, sc, out); err != nil {
-			return err
-		}
-	}
 	if fig == "shards" {
 		if err := bench.PR5Fig(ctx, w, sc, out); err != nil {
 			return err
@@ -135,16 +120,6 @@ func run(fig, query, out string, sc bench.Scale) error {
 	}
 	if fig == "io" {
 		if err := bench.IOFig(ctx, w, sc, out); err != nil {
-			return err
-		}
-	}
-	if fig == "vec" {
-		if err := bench.PR8Fig(ctx, w, sc, out); err != nil {
-			return err
-		}
-	}
-	if fig == "par" {
-		if err := bench.PR9Fig(ctx, w, sc, out); err != nil {
 			return err
 		}
 	}

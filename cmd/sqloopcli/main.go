@@ -53,10 +53,7 @@ func run() error {
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for round-boundary snapshots (enables crash recovery)")
 		ckptN     = flag.Int("checkpoint-every", 2, "checkpoint every N rounds when -checkpoint-dir is set")
 		noCache   = flag.Bool("no-stmt-cache", false, "disable the statement/plan cache (escape hatch; parses every statement from text)")
-		noCompile = flag.Bool("no-compile", false, "disable the expression compiler (escape hatch; interprets expressions from their ASTs)")
-		noVec     = flag.Bool("no-vectorize", false, "disable vectorized batch execution (escape hatch; compiled programs run row-at-a-time)")
 		workers   = flag.Int("workers", 0, "embedded engine: intra-query parallelism degree (0: one per CPU, 1: serial)")
-		noPar     = flag.Bool("no-parallel", false, "disable morsel-driven intra-query parallelism (escape hatch; queries run serially)")
 	)
 	flag.Parse()
 
@@ -71,16 +68,6 @@ func run() error {
 	if *noCache {
 		opts.DisableStmtCache = true
 	}
-	if *noCompile {
-		opts.DisableExprCompile = true
-	}
-	if *noVec {
-		opts.DisableVectorize = true
-	}
-	if *noPar {
-		opts.DisableParallel = true
-	}
-	opts.Workers = *workers
 
 	steps, err := parseRebalance(*rebalance)
 	if err != nil {
@@ -102,15 +89,6 @@ func run() error {
 		}
 		if *noCache {
 			extra = append(extra, sqloop.WithoutStmtCache())
-		}
-		if *noCompile {
-			extra = append(extra, sqloop.WithoutExprCompile())
-		}
-		if *noVec {
-			extra = append(extra, sqloop.WithoutVectorize())
-		}
-		if *noPar {
-			extra = append(extra, sqloop.WithoutParallel())
 		}
 		if *workers != 0 {
 			extra = append(extra, sqloop.WithWorkers(*workers))

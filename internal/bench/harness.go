@@ -43,19 +43,6 @@ type Config struct {
 	// the middleware's per-connection prepared statements, for
 	// cache-ablation runs (the -fig stmtcache comparison).
 	DisableStmtCache bool
-	// DisableExprCompile turns off the engine's expression compiler so
-	// every predicate and projection is interpreted from its AST, for
-	// compile-ablation runs (the -fig pr4 comparison).
-	DisableExprCompile bool
-	// DisableVectorize turns off vectorized batch execution while
-	// keeping compiled programs, for vectorize-ablation runs (the
-	// -fig vec comparison).
-	DisableVectorize bool
-	// Workers sets the engine's intra-query parallelism degree (0 = one
-	// per CPU, 1 = serial); DisableParallel forces serial execution, for
-	// parallel-ablation runs (the -fig par comparison).
-	Workers         int
-	DisableParallel bool
 	// Backend selects the engine's storage backend by name (heap, btree,
 	// lsm, disk); empty keeps the profile default. The disk backend runs
 	// with DataDir and BufferPoolPages (both optional) and reports pager
@@ -103,11 +90,6 @@ type Metrics struct {
 	// Pager is the buffer pool / page I/O activity of the run (disk
 	// backend only).
 	Pager PagerStats
-	// VecBatches / VecFallbacks count vectorized windows executed and
-	// windows that fell back to row-at-a-time execution during the run
-	// (both zero with vectorization disabled).
-	VecBatches   int64
-	VecFallbacks int64
 }
 
 // StmtsPerRound is the statement overhead per completed round.
@@ -116,6 +98,15 @@ func (m *Metrics) StmtsPerRound() float64 {
 		return float64(m.Work.Statements)
 	}
 	return float64(m.Work.Statements) / float64(m.Rounds)
+}
+
+// backendFor maps an engine profile to its storage backend name.
+func backendFor(profile string) string {
+	cfg, err := engine.Profile(profile)
+	if err != nil {
+		return profile
+	}
+	return cfg.Backend.String()
 }
 
 var handleSeq atomic.Int64
@@ -133,10 +124,6 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 	if cfg.DisableStmtCache {
 		engCfg.StmtCacheSize = -1
 	}
-	engCfg.DisableExprCompile = cfg.DisableExprCompile
-	engCfg.DisableVectorize = cfg.DisableVectorize
-	engCfg.Workers = cfg.Workers
-	engCfg.DisableParallel = cfg.DisableParallel
 	if cfg.Backend != "" {
 		kind, err := storage.ParseKind(cfg.Backend)
 		if err != nil {
@@ -169,10 +156,6 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 		PriorityQuery:          cfg.Priority,
 		DisableMaterialization: cfg.DisableMaterialization,
 		DisableStmtCache:       cfg.DisableStmtCache,
-		DisableExprCompile:     cfg.DisableExprCompile,
-		DisableVectorize:       cfg.DisableVectorize,
-		Workers:                cfg.Workers,
-		DisableParallel:        cfg.DisableParallel,
 	})
 	if err != nil {
 		return nil, err
@@ -188,16 +171,16 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 	}
 	before := eng.Stats()
 	cacheBefore := eng.StmtCacheStats()
-	vecBatchesBefore, vecFallbacksBefore := eng.VecStats()
 
 	// Convergence sampler: a separate connection polling the live CTE
-	// view, like the paper's sampling thread (§VI-A).
+	// view, like the paper's sampling thread (§VI-A). Samples are timed
+	// from the same instant as the query.
 	var samples []Sample
 	stopSampler := func() {}
+	started := time.Now()
 	if cfg.SampleEvery > 0 && cfg.SampleQuery != "" {
 		stop := make(chan struct{})
 		done := make(chan struct{})
-		start := time.Now()
 		go func() {
 			defer close(done)
 			ticker := time.NewTicker(cfg.SampleEvery)
@@ -211,7 +194,7 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 					// The view appears once partitioning finishes;
 					// ignore errors before/after.
 					if err := s.DB().QueryRowContext(ctx, cfg.SampleQuery).Scan(&v); err == nil {
-						samples = append(samples, Sample{At: time.Since(start), Value: v})
+						samples = append(samples, Sample{At: time.Since(started), Value: v})
 					}
 				}
 			}
@@ -222,12 +205,16 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 		}
 	}
 
-	started := time.Now()
 	res, err := s.Exec(ctx, query)
 	elapsed := time.Since(started)
 	stopSampler()
 	if err != nil {
 		return nil, err
+	}
+	// A sample that completed after the query returned observed no part
+	// of the run.
+	for len(samples) > 0 && samples[len(samples)-1].At > elapsed {
+		samples = samples[:len(samples)-1]
 	}
 
 	after := eng.Stats()
@@ -255,9 +242,6 @@ func Run(ctx context.Context, cfg Config, query string) (*Metrics, error) {
 			Size:      cacheAfter.Size,
 		},
 	}
-	vecBatchesAfter, vecFallbacksAfter := eng.VecStats()
-	m.VecBatches = vecBatchesAfter - vecBatchesBefore
-	m.VecFallbacks = vecFallbacksAfter - vecFallbacksBefore
 	if pagerReg != nil {
 		snap := pagerReg.Snapshot()
 		m.Pager = PagerStats{

@@ -105,30 +105,6 @@ type Options struct {
 	// and for cache-ablation benchmarks (results must be identical
 	// either way).
 	DisableStmtCache bool
-	// DisableExprCompile turns off the embedded engine's expression
-	// compiler: every expression is then interpreted by walking its AST
-	// on each row, the behaviour before compiled programs existed. A/B
-	// switch for compile-ablation benchmarks (results must be identical
-	// either way). Only honoured by OpenEmbedded — the middleware cannot
-	// reconfigure a remote engine.
-	DisableExprCompile bool
-	// DisableVectorize turns off the embedded engine's vectorized batch
-	// execution while keeping compiled programs: expressions then run
-	// compiled but row-at-a-time. A/B switch for vectorize-ablation
-	// benchmarks (results must be identical either way). Implied by
-	// DisableExprCompile — the batch kernels ride on compiled programs.
-	// Only honoured by OpenEmbedded, like DisableExprCompile.
-	DisableVectorize bool
-	// Workers sets the embedded engine's intra-query parallelism degree:
-	// morsel-driven parallel scans, joins and aggregation over a shared
-	// worker pool. 0 means one worker per CPU (runtime.GOMAXPROCS); 1 is
-	// the serial path. Results are bit-identical at every setting. Only
-	// honoured by OpenEmbedded, like DisableExprCompile.
-	Workers int
-	// DisableParallel forces serial intra-query execution regardless of
-	// Workers. A/B switch for the parallel-ablation benchmarks (results
-	// must be identical either way). Only honoured by OpenEmbedded.
-	DisableParallel bool
 	// OnRound, when set, is called after every completed round/iteration
 	// with the 1-based round number and the number of rows changed in
 	// that round. It runs on the coordinator goroutine.
@@ -162,15 +138,6 @@ type Options struct {
 	// write-ahead logs — the WAL↔checkpoint truncation contract. The
 	// middleware itself attaches no meaning to it.
 	AfterCheckpoint func() error
-	// DataDir is passed through to OpenEmbedded's engine as the disk
-	// backend's data directory (page + WAL files). Empty means a
-	// throwaway temp directory. Ignored for in-memory backends and for
-	// remote engines.
-	DataDir string
-	// BufferPoolPages sizes the embedded disk backend's buffer pool in
-	// 8 KiB pages (0 = default 256). Ignored for in-memory backends and
-	// remote engines.
-	BufferPoolPages int
 	// Tenant names this instance's tenant for admission control and
 	// fair scheduling; empty means the default tenant. Only meaningful
 	// together with Scheduler.
@@ -339,8 +306,8 @@ type SQLoop struct {
 	db      *sql.DB
 	opts    Options
 	dialect sqlparser.Dialect
-	// dsn identifies the engine for checkpoint keys (empty when the
-	// instance was built from a bare *sql.DB).
+	// dsn identifies the engine for checkpoint keys (may be empty, see
+	// NewWithDB).
 	dsn string
 	// tracer is never nil: it fans out to Options.Observer and the
 	// OnRound adapter, or discards events when neither is set.
@@ -358,16 +325,12 @@ func Open(driverName, dsn string, opts Options) (*SQLoop, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: open %s: %w", dsn, err)
 	}
-	s, err := NewWithDB(db, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.dsn = dsn
-	return s, nil
+	return NewWithDB(db, dsn, opts)
 }
 
-// NewWithDB wraps an existing database handle.
-func NewWithDB(db *sql.DB, opts Options) (*SQLoop, error) {
+// NewWithDB wraps an existing database handle. dsn identifies the
+// engine behind it in checkpoint keys; it may be empty.
+func NewWithDB(db *sql.DB, dsn string, opts Options) (*SQLoop, error) {
 	opts = opts.withDefaults()
 	d, err := sqlparser.ParseDialect(opts.Dialect)
 	if err != nil {
@@ -384,7 +347,7 @@ func NewWithDB(db *sql.DB, opts Options) (*SQLoop, error) {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	return &SQLoop{db: db, opts: opts, dialect: d, tracer: tracer, metrics: metrics}, nil
+	return &SQLoop{db: db, opts: opts, dialect: d, dsn: dsn, tracer: tracer, metrics: metrics}, nil
 }
 
 // onRoundTracer adapts the legacy OnRound callback to the event API: it
@@ -410,7 +373,8 @@ func (s *SQLoop) DB() *sql.DB { return s.db }
 // Options returns the effective options.
 func (s *SQLoop) Options() Options { return s.opts }
 
-// Close releases the database handle.
+// Close releases the database handle, and with it an embedded engine
+// the handle owns (sqloop.OpenEmbedded).
 func (s *SQLoop) Close() error { return s.db.Close() }
 
 // Exec runs one statement: iterative and recursive CTEs are executed by

@@ -29,7 +29,7 @@ func TestExprCompileOnOffResultsIdentical(t *testing.T) {
 					c.DisableExprCompile = disable
 					opts := Options{
 						Mode: mode, Threads: 3, Partitions: 4,
-						Dialect: cfg.Dialect.String(), DisableExprCompile: disable,
+						Dialect: cfg.Dialect.String(),
 					}
 					s := newTestLoopCfg(t, c, opts, false)
 					res, err := s.Exec(context.Background(), ssspCTE)
@@ -69,7 +69,7 @@ SELECT Node FROM reach ORDER BY Node`
 	run := func(disable bool) string {
 		t.Helper()
 		cfg := engine.Config{DisableExprCompile: disable}
-		s := newTestLoopCfg(t, cfg, Options{DisableExprCompile: disable}, false)
+		s := newTestLoopCfg(t, cfg, Options{}, false)
 		res, err := s.Exec(context.Background(), query)
 		if err != nil {
 			t.Fatalf("disable=%v: %v", disable, err)

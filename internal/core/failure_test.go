@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"database/sql"
 	"fmt"
 	"math"
 	"strings"
@@ -28,38 +29,35 @@ func TestParallelRunSurvivesDroppedDependency(t *testing.T) {
 			// Working tables are namespaced per execution; pin the token
 			// so the sabotage below hits this run's materialized join.
 			pinToken(t, "t0")
-			s := newTestLoop(t, Options{Mode: mode, Threads: 2, Partitions: 4}, true)
 			ctx := context.Background()
-
-			var wg sync.WaitGroup
-			var execErr error
-			started := make(chan struct{})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				close(started)
-				// Long enough that the sabotage lands mid-run; an error
-				// is the expected outcome, nil means it (validly) beat
-				// the drop.
-				_, execErr = s.Exec(ctx, fmt.Sprintf(pageRankCTE, 50000))
-			}()
-			<-started
-			// Sabotage: remove the constant join's source mid-run. The
-			// materialized join shields Compute tasks, so aim at the
-			// materialization table itself via a second connection.
-			sab, err := s.DB().Conn(ctx)
-			if err != nil {
+			// The sabotage runs from the round hook on a second
+			// connection, so it always lands after round 1 of a run far
+			// too long to finish first. The materialized join shields
+			// Compute tasks, so it aims at the materialization table
+			// itself.
+			var sab *sql.Conn
+			var dropErr error
+			dropped := false
+			opts := Options{Mode: mode, Threads: 2, Partitions: 4,
+				OnRound: func(round int, _ int64) {
+					if round == 1 && !dropped {
+						dropped = true
+						_, dropErr = sab.ExecContext(ctx, `DROP TABLE sqloop_pagerank_t0_mjoin`)
+					}
+				}}
+			s := newTestLoop(t, opts, true)
+			var err error
+			if sab, err = s.DB().Conn(ctx); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 100; i++ {
-				if _, err := sab.ExecContext(ctx, `DROP TABLE sqloop_pagerank_t0_mjoin`); err == nil {
-					break
-				}
+			defer sab.Close()
+
+			_, execErr := s.Exec(ctx, fmt.Sprintf(pageRankCTE, 1000))
+			if !dropped || dropErr != nil {
+				t.Fatalf("sabotage did not land: ran=%v err=%v", dropped, dropErr)
 			}
-			_ = sab.Close()
-			wg.Wait()
 			if execErr == nil {
-				t.Skip("run finished before the sabotage landed")
+				t.Fatal("run survived the drop of its materialized join")
 			}
 			if !strings.Contains(execErr.Error(), "mjoin") &&
 				!strings.Contains(execErr.Error(), "does not exist") {

@@ -674,6 +674,10 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 
 	inflight := make([]bool, r.pl.p)
 	inflightCount := 0
+	// idle marks in-flight AsyncP computes dispatched to a partition
+	// that signalled no work (see pick); idleCount counts them.
+	idle := make([]bool, r.pl.p)
+	idleCount := 0
 	next := 0 // round-robin cursor
 	var roundChanged int64
 	lastRound := r.startRound
@@ -698,20 +702,18 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		iterTarget = 1
 	}
 
+	iterBounded := r.term.term.Kind == sqlparser.TermIterations
 	// eligible reports whether partition x may be scheduled now.
 	eligible := func(x int) bool {
 		if inflight[x] {
 			return false
 		}
-		if r.term.term.Kind == sqlparser.TermIterations &&
-			int64(r.rounds[x]) >= iterTarget {
+		if iterBounded && int64(r.rounds[x]) >= iterTarget {
 			return false
 		}
 		return true
 	}
 
-	// pick selects the next partition: highest priority first for
-	// AsyncP, round-robin otherwise.
 	// pick selects the next partition and, for the prioritized
 	// scheduler, the task kind: gathers for partitions with pending
 	// messages come first (they are cheap and reveal true priorities),
@@ -720,6 +722,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		taskPair = iota
 		taskGather
 		taskCompute
+		taskIdle // a Compute for a partition that signalled no work
 	)
 	pick := func() (int, int, bool) {
 		if prio {
@@ -745,17 +748,25 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 				return best, taskCompute, true
 			}
 			// Iteration-bounded runs must still complete every
-			// partition's rounds even when priorities signal no work.
-			if r.term.term.Kind == sqlparser.TermIterations {
+			// partition's rounds even when priorities signal no work,
+			// but only once no real work is in flight: an idle round
+			// spent while another partition's task may still send it
+			// messages would use up the round budget those messages
+			// need, leaving them unabsorbed in the delta when the run
+			// ends. The laggard goes first so rounds complete in order.
+			if iterBounded && idleCount == inflightCount {
+				lag := -1
 				for x := 0; x < r.pl.p; x++ {
-					if eligible(x) {
-						return x, taskCompute, true
+					if eligible(x) && (lag < 0 || r.rounds[x] < r.rounds[lag]) {
+						lag = x
 					}
+				}
+				if lag >= 0 {
+					return lag, taskIdle, true
 				}
 			}
 			return -1, 0, false
 		}
-		iterBounded := r.term.term.Kind == sqlparser.TermIterations
 		for i := 0; i < r.pl.p; i++ {
 			x := (next + i) % r.pl.p
 			if !eligible(x) {
@@ -868,6 +879,10 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 				dispatchGather(x)
 			case taskCompute:
 				dispatchCompute(x)
+			case taskIdle:
+				idle[x] = true
+				idleCount++
+				dispatchCompute(x)
 			default:
 				dispatch(x)
 			}
@@ -954,6 +969,10 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		}
 		inflight[res.part] = false
 		inflightCount--
+		if idle[res.part] {
+			idle[res.part] = false
+			idleCount--
+		}
 		if res.err != nil {
 			if taskErr == nil {
 				taskErr = res.err
@@ -1036,7 +1055,10 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		}
 		// Quiescence may only be judged with no tasks in flight: an
 		// unprocessed result still carries priority/cleanliness updates.
-		if !done && inflightCount == 0 && r.quiescent(prio) {
+		// Iteration-bounded AsyncP runs end on their round bound instead:
+		// idle rounds complete them, so the round count and checkpoint
+		// cadence do not depend on the schedule.
+		if !done && inflightCount == 0 && !(prio && iterBounded) && r.quiescent(prio) {
 			done = true
 		}
 		if done && inflightCount == 0 {
@@ -1052,7 +1074,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	// Iteration-capped runs stop computing with messages still in
 	// flight; deliver them so no accumulated change is silently lost
 	// (the Sync method's final gather phase has the same effect).
-	if done && r.term.term.Kind == sqlparser.TermIterations {
+	if done && iterBounded {
 		for x := 0; x < r.pl.p; x++ {
 			if r.msgs.hasUnread(x) {
 				if _, err := r.gatherTask(ctx, x, r.coord); err != nil {

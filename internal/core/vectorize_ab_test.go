@@ -29,7 +29,7 @@ func TestVectorizeOnOffResultsIdentical(t *testing.T) {
 					c.DisableVectorize = disable
 					opts := Options{
 						Mode: mode, Threads: 3, Partitions: 4,
-						Dialect: cfg.Dialect.String(), DisableVectorize: disable,
+						Dialect: cfg.Dialect.String(),
 					}
 					s := newTestLoopCfg(t, c, opts, false)
 					res, err := s.Exec(context.Background(), ssspCTE)
@@ -70,7 +70,7 @@ SELECT Node FROM reach ORDER BY Node`
 	run := func(disable bool) string {
 		t.Helper()
 		cfg := engine.Config{DisableVectorize: disable}
-		s := newTestLoopCfg(t, cfg, Options{DisableVectorize: disable}, false)
+		s := newTestLoopCfg(t, cfg, Options{}, false)
 		res, err := s.Exec(context.Background(), query)
 		if err != nil {
 			t.Fatalf("disable=%v: %v", disable, err)

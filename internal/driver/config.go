@@ -11,9 +11,8 @@ import (
 // Config is the complete per-DSN configuration, applied to every
 // connection subsequently opened for that DSN. database/sql constructs
 // connections from the DSN string alone, so per-DSN state must live in
-// a process-wide map; Configure replaces the whole entry atomically —
-// unlike the three legacy Set* setters, a reader can never observe a
-// half-updated combination.
+// a process-wide map; Configure replaces the whole entry atomically, so
+// a reader can never observe a half-updated combination.
 type Config struct {
 	// Metrics receives per-statement counters and latency histograms
 	// (driver_statements_total, driver_statement_seconds) plus, for
@@ -65,50 +64,6 @@ func configFor(dsn string) Config {
 	dsnConfigs.RLock()
 	defer dsnConfigs.RUnlock()
 	return dsnConfigs.m[dsn]
-}
-
-// updateConfig applies one field mutation under the write lock — the
-// compatibility shim for the legacy piecewise setters.
-func updateConfig(dsn string, f func(*Config)) {
-	dsnConfigs.Lock()
-	defer dsnConfigs.Unlock()
-	c := dsnConfigs.m[dsn]
-	f(&c)
-	if c == (Config{}) {
-		delete(dsnConfigs.m, dsn)
-		return
-	}
-	dsnConfigs.m[dsn] = c
-}
-
-// SetDSNMetrics attaches a registry to every connection subsequently
-// opened for dsn. Pass nil to detach.
-//
-// Deprecated: use Configure, which replaces the whole per-DSN
-// configuration atomically instead of mutating one field at a time.
-func SetDSNMetrics(dsn string, r *obs.Registry) {
-	updateConfig(dsn, func(c *Config) { c.Metrics = r })
-}
-
-// SetDSNRetry overrides the retry policy for connections subsequently
-// opened for dsn. A zero policy restores the default.
-//
-// Deprecated: use Configure.
-func SetDSNRetry(dsn string, p RetryPolicy) {
-	updateConfig(dsn, func(c *Config) { c.Retry = p })
-}
-
-// SetDSNWireVersion caps the protocol version for connections
-// subsequently opened for dsn: 0 forces JSON responses (a
-// pre-binary-codec client), wire.WireVersion restores the default.
-//
-// Deprecated: use Configure (note Configure's WireVer uses 0 for the
-// default and negative values to force JSON).
-func SetDSNWireVersion(dsn string, ver int) {
-	if ver < 1 {
-		ver = -1 // legacy call convention: 0 forced the JSON protocol
-	}
-	updateConfig(dsn, func(c *Config) { c.WireVer = ver })
 }
 
 // metricsFor, retryFor and wireVerFor read single fields for the

@@ -39,29 +39,6 @@ func TestConfigureReplacesWholeEntry(t *testing.T) {
 	}
 }
 
-// TestDeprecatedSettersComposeOnOneConfig pins the compatibility
-// contract: the three legacy setters mutate fields of the same Config
-// entry, so mixed old/new callers see one coherent configuration.
-func TestDeprecatedSettersComposeOnOneConfig(t *testing.T) {
-	const dsn = "sqlsim://tcp/example:1?shimtest"
-	reg := obs.NewRegistry()
-	SetDSNMetrics(dsn, reg)
-	SetDSNRetry(dsn, RetryPolicy{MaxAttempts: 7})
-	SetDSNWireVersion(dsn, 0) // legacy convention: 0 forces JSON
-	defer Configure(dsn, Config{})
-	got := configFor(dsn)
-	if got.Metrics != reg || got.Retry.MaxAttempts != 7 {
-		t.Fatalf("composed config = %+v", got)
-	}
-	if wireVerFor(dsn) != 0 {
-		t.Fatalf("wireVerFor = %d, want 0 after legacy SetDSNWireVersion(0)", wireVerFor(dsn))
-	}
-	SetDSNMetrics(dsn, nil)
-	if got := configFor(dsn); got.Metrics != nil || got.Retry.MaxAttempts != 7 {
-		t.Fatalf("detaching metrics disturbed other fields: %+v", got)
-	}
-}
-
 func TestDSNParamsParse(t *testing.T) {
 	cfg := Config{}
 	target, err := applyDSNParams("127.0.0.1:9999?tenant=acme&deadline=300ms", &cfg)

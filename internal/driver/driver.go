@@ -54,6 +54,40 @@ func UnregisterEngine(handle string) {
 	delete(engines.m, handle)
 }
 
+// engineConnector opens connections to the one in-process engine it
+// owns; see OwnEngine.
+type engineConnector struct {
+	handle, dsn string
+	eng         *engine.Engine
+}
+
+// OwnEngine registers eng under handle and configures its inproc DSN
+// with cfg, returning a connector that owns all three: closing the
+// *sql.DB opened over it with sql.OpenDB closes the engine, unregisters
+// the handle and removes the DSN's configuration. Connections are the
+// ones Open would make for InprocDSN(handle), so the DSN stays the
+// engine's identity.
+func OwnEngine(handle string, eng *engine.Engine, cfg Config) driver.Connector {
+	dsn := InprocDSN(handle)
+	RegisterEngine(handle, eng)
+	Configure(dsn, cfg)
+	return &engineConnector{handle: handle, dsn: dsn, eng: eng}
+}
+
+func (c *engineConnector) Connect(context.Context) (driver.Conn, error) {
+	return Driver{}.Open(c.dsn)
+}
+
+func (c *engineConnector) Driver() driver.Driver { return Driver{} }
+
+// Close runs once, from sql.DB.Close, after the pool's connections are
+// closed.
+func (c *engineConnector) Close() error {
+	UnregisterEngine(c.handle)
+	Configure(c.dsn, Config{})
+	return c.eng.Close()
+}
+
 // InprocDSN returns the DSN for a registered engine handle.
 func InprocDSN(handle string) string { return "sqlsim://inproc/" + handle }
 
@@ -487,7 +521,7 @@ func (p *wirePrepared) close() error {
 // conn is one database/sql connection.
 type conn struct {
 	exec executor
-	// per-statement instruments, nil without SetDSNMetrics
+	// per-statement instruments, nil without a Config.Metrics registry
 	stmtCount   *obs.Counter
 	stmtLatency *obs.Histogram
 }

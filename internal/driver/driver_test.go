@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sqloop/internal/engine"
+	"sqloop/internal/obs"
 	"sqloop/internal/wire"
 )
 
@@ -147,6 +148,31 @@ func TestPreparedStatements(t *testing.T) {
 	}
 }
 
+// TestOwnEngineCloseReleases pins the owning connector's contract:
+// connections reach the engine through its inproc DSN, and closing the
+// database handle unregisters the handle, drops the DSN's
+// configuration and closes the engine.
+func TestOwnEngineCloseReleases(t *testing.T) {
+	reg := obs.NewRegistry()
+	dsn := InprocDSN(t.Name())
+	db := sql.OpenDB(OwnEngine(t.Name(), engine.New(engine.Config{}), Config{Metrics: reg}))
+	if _, err := db.Exec(`CREATE TABLE t (id BIGINT)`); err != nil {
+		t.Fatal(err)
+	}
+	if reg.Counter("driver_statements_total").Value() == 0 {
+		t.Fatal("connection did not report into the configured registry")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ConfigFor(dsn); got != (Config{}) {
+		t.Fatalf("DSN config survived Close: %+v", got)
+	}
+	if _, err := (Driver{}).Open(dsn); err == nil {
+		t.Fatal("handle still registered after Close")
+	}
+}
+
 func TestBadDSNs(t *testing.T) {
 	for _, dsn := range []string{
 		"mysql://whatever",
@@ -256,7 +282,7 @@ func TestWireVersionBinaryVsJSON(t *testing.T) {
 	}
 	defer srv.Close()
 	dsn := TCPDSN(addr)
-	defer SetDSNWireVersion(dsn, wire.WireVersion)
+	defer Configure(dsn, Config{})
 
 	setup, err := sql.Open(DriverName, dsn)
 	if err != nil {
@@ -282,7 +308,7 @@ func TestWireVersionBinaryVsJSON(t *testing.T) {
 
 	read := func(ver int) string {
 		t.Helper()
-		SetDSNWireVersion(dsn, ver)
+		Configure(dsn, Config{WireVer: ver})
 		db, err := sql.Open(DriverName, dsn)
 		if err != nil {
 			t.Fatal(err)
@@ -312,7 +338,7 @@ func TestWireVersionBinaryVsJSON(t *testing.T) {
 	}
 
 	binary := read(wire.WireVersion)
-	jsonOut := read(0)
+	jsonOut := read(-1) // negative WireVer forces the JSON protocol
 	if binary != jsonOut {
 		t.Fatalf("binary and JSON connections disagree:\n%s\nvs\n%s", binary, jsonOut)
 	}

@@ -27,7 +27,7 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 }
 
-// DefaultRetryPolicy is used for wire DSNs without a SetDSNRetry
+// DefaultRetryPolicy is used for wire DSNs without a Config.Retry
 // override: four tries over roughly a tenth of a second, enough to
 // ride out an engine restart without stalling a failed cluster.
 var DefaultRetryPolicy = RetryPolicy{

@@ -32,10 +32,8 @@ var fastRetry = RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Microsecond,
 func TestRetryTransientInjectedError(t *testing.T) {
 	dsn, addr := retryTestServer(t)
 	reg := obs.NewRegistry()
-	SetDSNMetrics(dsn, reg)
-	defer SetDSNMetrics(dsn, nil)
-	SetDSNRetry(dsn, fastRetry)
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Metrics: reg, Retry: fastRetry})
+	defer Configure(dsn, Config{})
 	// Injected transient errors on ops 2 and 3: the INSERT should
 	// succeed on its third try without the caller noticing.
 	wire.SetAddrInjector(addr, wire.NewInjector(
@@ -72,10 +70,8 @@ func TestRetryTransientInjectedError(t *testing.T) {
 func TestRetryDropBeforeSendReconnects(t *testing.T) {
 	dsn, addr := retryTestServer(t)
 	reg := obs.NewRegistry()
-	SetDSNMetrics(dsn, reg)
-	defer SetDSNMetrics(dsn, nil)
-	SetDSNRetry(dsn, fastRetry)
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Metrics: reg, Retry: fastRetry})
+	defer Configure(dsn, Config{})
 	wire.SetAddrInjector(addr, wire.NewInjector(
 		wire.Fault{AtOp: 2, Kind: wire.FaultDropBeforeSend},
 	))
@@ -110,8 +106,8 @@ func TestRetryDropBeforeSendReconnects(t *testing.T) {
 
 func TestDropAfterSendSurfacesConnLost(t *testing.T) {
 	dsn, addr := retryTestServer(t)
-	SetDSNRetry(dsn, fastRetry)
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Retry: fastRetry})
+	defer Configure(dsn, Config{})
 	wire.SetAddrInjector(addr, wire.NewInjector(
 		wire.Fault{AtOp: 2, Kind: wire.FaultDropAfterSend},
 	))
@@ -158,8 +154,8 @@ func TestDropAfterSendSurfacesConnLost(t *testing.T) {
 
 func TestRetryExhaustionReturnsConnLost(t *testing.T) {
 	dsn, addr := retryTestServer(t)
-	SetDSNRetry(dsn, RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond})
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond}})
+	defer Configure(dsn, Config{})
 	// Every attempt (and every redial) is dropped before sending; op 1
 	// is spared for the CREATE below.
 	faults := make([]wire.Fault, 0, 28)
@@ -225,10 +221,8 @@ func TestCloseDuringBackoffReturnsPromptly(t *testing.T) {
 func TestPreparedReprepareAfterConnectionLoss(t *testing.T) {
 	dsn, addr := retryTestServer(t)
 	reg := obs.NewRegistry()
-	SetDSNMetrics(dsn, reg)
-	defer SetDSNMetrics(dsn, nil)
-	SetDSNRetry(dsn, fastRetry)
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Metrics: reg, Retry: fastRetry})
+	defer Configure(dsn, Config{})
 	// Op schedule: 1 = CREATE, 2 = PREPARE, 3 = first EXEC_PREPARED,
 	// 4 = second EXEC_PREPARED — killed before it reaches the server, so
 	// the driver redials and the server-side handle dies with its
@@ -283,8 +277,8 @@ func TestPreparedReprepareAfterConnectionLoss(t *testing.T) {
 func TestBackoffNeverOverflows(t *testing.T) {
 	policies := []RetryPolicy{
 		{MaxAttempts: 200, BaseBackoff: 10 * time.Millisecond}, // no cap: the overflow case
-		{MaxAttempts: 200},                                     // all defaults zero
-		{MaxAttempts: 200, BaseBackoff: time.Hour},             // base above the ceiling
+		{MaxAttempts: 200},                         // all defaults zero
+		{MaxAttempts: 200, BaseBackoff: time.Hour}, // base above the ceiling
 		DefaultRetryPolicy,
 	}
 	for _, p := range policies {
@@ -334,10 +328,8 @@ func TestBackoffMatchesLegacyForSaneConfigs(t *testing.T) {
 func TestRemoteErrorsAreNotRetried(t *testing.T) {
 	dsn, _ := retryTestServer(t)
 	reg := obs.NewRegistry()
-	SetDSNMetrics(dsn, reg)
-	defer SetDSNMetrics(dsn, nil)
-	SetDSNRetry(dsn, fastRetry)
-	defer SetDSNRetry(dsn, RetryPolicy{})
+	Configure(dsn, Config{Metrics: reg, Retry: fastRetry})
+	defer Configure(dsn, Config{})
 
 	db, err := sql.Open(DriverName, dsn)
 	if err != nil {

@@ -38,26 +38,27 @@ type Config struct {
 	// StmtCacheSize bounds the parsed-statement cache: 0 uses the
 	// default (512 entries), negative disables caching entirely.
 	StmtCacheSize int
-	// DisableExprCompile turns off the compiled hot row path: expressions
-	// are evaluated by the tree-walking interpreter and operator keys use
-	// string encoding instead of 64-bit row hashes. Results are identical
-	// either way; this is the A/B switch for the perf experiments.
+	// DisableExprCompile selects the reference row path: expressions are
+	// evaluated by the tree-walking interpreter and operator keys use
+	// string encoding instead of 64-bit row hashes. The interpreter is
+	// also the production fallback for nodes the compiler does not
+	// support; this switch exists so the differential suites can run
+	// every query on the reference path and compare. Results are
+	// identical either way.
 	DisableExprCompile bool
-	// DisableVectorize turns off batch (vectorized) execution over the
-	// compiled programs: filters, projections, grouping and join probes
-	// run row-at-a-time instead of in column batches. Implied by
+	// DisableVectorize selects the row-at-a-time reference for the
+	// batch (vectorized) path: filters, projections, grouping and join
+	// probes run compiled but one row at a time, as they do in
+	// production when a batch kernel declines a window. Implied by
 	// DisableExprCompile (the batch path rides on compiled programs).
-	// Results are identical either way; this is the A/B switch for the
-	// PR 8 perf experiments.
+	// Set by the differential suites only; results are identical either
+	// way.
 	DisableVectorize bool
 	// Workers sets the intra-query parallelism degree: morsel-driven
 	// parallel scans, joins and aggregation fan out over a shared pool of
 	// Workers goroutines. 0 means runtime.GOMAXPROCS(0); 1 is exactly the
 	// serial path. Results are bit-identical at every setting.
 	Workers int
-	// DisableParallel forces serial execution regardless of Workers; this
-	// is the A/B switch for the PR 9 perf experiments.
-	DisableParallel bool
 	// DataDir is where the disk backend keeps its page and WAL files.
 	// Empty means a throwaway temp directory (removed by Close). Ignored
 	// by the in-memory backends.

@@ -12,8 +12,9 @@ import (
 // It replaces the per-row encodeRowKey string construction (the
 // dominant allocation of those operators) with a 64-bit FNV-1a row
 // hash plus collision buckets compared value-by-value. The string path
-// is kept as the interpreted baseline behind Config.DisableExprCompile
-// so the A/B matrix can pin both implementations to identical results.
+// is kept as the reference behind Config.DisableExprCompile so the
+// differential suites can pin both implementations to identical
+// results.
 
 // fnv-1a parameters, matching sqltypes.Value.Hash.
 const (

@@ -31,13 +31,9 @@ var morselRows = 4 * vec.BatchSize
 // out; below it the dispatch overhead cannot pay for itself.
 const parThresholdMorsels = 2
 
-// effectiveWorkers resolves the configured worker count: DisableParallel
-// forces the serial path, 0 means one worker per CPU, and 1 is exactly
-// today's serial execution.
+// effectiveWorkers resolves the configured worker count: 0 means one
+// worker per CPU, and 1 is exactly the serial execution.
 func effectiveWorkers(cfg Config) int {
-	if cfg.DisableParallel {
-		return 1
-	}
 	n := cfg.Workers
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -91,45 +91,38 @@ var parCorpus = []string{
 }
 
 // TestParallelWorkerEquivalence is the worker-count sweep: the large
-// fixture corpus must render type-exactly identical at workers 1/2/4/8,
-// with DisableParallel on and off.
+// fixture corpus must render type-exactly identical at workers 1/2/4/8.
+// The workers=1 leg is the serial reference and must dispatch no
+// morsels at all.
 func TestParallelWorkerEquivalence(t *testing.T) {
 	lowerMorsels(t)
 
-	serial := New(Config{Workers: 1})
-	ss := serial.NewSession()
-	loadParCorpus(t, ss)
-	want := make([]string, len(parCorpus))
-	for i, q := range parCorpus {
-		want[i] = renderResult(mustExec(t, ss, q))
-	}
-
-	for _, w := range []int{2, 4, 8} {
-		for _, disable := range []bool{false, true} {
-			eng := New(Config{Workers: w, DisableParallel: disable})
-			reg := obs.NewRegistry()
-			eng.SetMetrics(reg)
-			s := eng.NewSession()
-			loadParCorpus(t, s)
-			for i, q := range parCorpus {
-				got := renderResult(mustExec(t, s, q))
-				if got != want[i] {
-					t.Fatalf("workers=%d disable=%v %s:\npar:\n%s\nserial:\n%s", w, disable, q, got, want[i])
-				}
+	var want []string
+	for _, w := range []int{1, 2, 4, 8} {
+		eng := New(Config{Workers: w})
+		reg := obs.NewRegistry()
+		eng.SetMetrics(reg)
+		s := eng.NewSession()
+		loadParCorpus(t, s)
+		for i, q := range parCorpus {
+			got := renderResult(mustExec(t, s, q))
+			if w == 1 {
+				want = append(want, got)
+			} else if got != want[i] {
+				t.Fatalf("workers=%d %s:\npar:\n%s\nserial:\n%s", w, q, got, want[i])
 			}
-			morsels := reg.Counter("sqloop_parallel_morsels_total").Value()
-			if disable && morsels != 0 {
-				t.Errorf("workers=%d DisableParallel ran %d morsels", w, morsels)
-			}
-			if !disable && morsels == 0 {
-				t.Errorf("workers=%d ran zero parallel morsels over the corpus", w)
-			}
-			if !disable && reg.Histogram("sqloop_parallel_worker_busy_seconds").Count() != morsels {
-				t.Errorf("workers=%d busy-seconds observations != morsel count", w)
-			}
-			if err := eng.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		morsels := reg.Counter("sqloop_parallel_morsels_total").Value()
+		switch {
+		case w == 1 && morsels != 0:
+			t.Errorf("workers=1 ran %d morsels, want the serial path", morsels)
+		case w > 1 && morsels == 0:
+			t.Errorf("workers=%d ran zero parallel morsels over the corpus", w)
+		case w > 1 && reg.Histogram("sqloop_parallel_worker_busy_seconds").Count() != morsels:
+			t.Errorf("workers=%d busy-seconds observations != morsel count", w)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -192,11 +185,11 @@ func TestParallelErrorIdentity(t *testing.T) {
 		}
 	}
 	queries := []string{
-		`SELECT a FROM t WHERE 10 / b > 1`,                      // filter kernel error
-		`SELECT a, 10 / b FROM t`,                               // projection kernel error
-		`SELECT CAST(name AS BIGINT) FROM t WHERE a >= 2000`,    // value-carrying error: must name badA, not badB
-		`SELECT b, SUM(10 / b) FROM t GROUP BY b`,               // grouped argument error
-		`SELECT x.a FROM t AS x JOIN t AS y ON 10 / x.b = y.a`,  // probe key error
+		`SELECT a FROM t WHERE 10 / b > 1`,                          // filter kernel error
+		`SELECT a, 10 / b FROM t`,                                   // projection kernel error
+		`SELECT CAST(name AS BIGINT) FROM t WHERE a >= 2000`,        // value-carrying error: must name badA, not badB
+		`SELECT b, SUM(10 / b) FROM t GROUP BY b`,                   // grouped argument error
+		`SELECT x.a FROM t AS x JOIN t AS y ON 10 / x.b = y.a`,      // probe key error
 		`SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.a = 10 / y.b`, // build key error
 	}
 	serial := New(Config{Workers: 1}).NewSession()
@@ -279,14 +272,11 @@ func TestEngineCloseDrainsPool(t *testing.T) {
 	}
 }
 
-// TestEffectiveWorkers pins the Config resolution: DisableParallel and
-// sub-1 values force serial, 0 tracks GOMAXPROCS.
+// TestEffectiveWorkers pins the Config resolution: sub-1 values force
+// serial, 0 tracks GOMAXPROCS.
 func TestEffectiveWorkers(t *testing.T) {
 	if got := effectiveWorkers(Config{Workers: 4}); got != 4 {
 		t.Errorf("Workers=4: got %d", got)
-	}
-	if got := effectiveWorkers(Config{Workers: 4, DisableParallel: true}); got != 1 {
-		t.Errorf("DisableParallel: got %d", got)
 	}
 	if got := effectiveWorkers(Config{Workers: -3}); got != 1 {
 		t.Errorf("Workers=-3: got %d", got)

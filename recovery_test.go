@@ -55,8 +55,67 @@ WITH ITERATIVE sssp(Node, Distance, Delta) AS (
 )
 SELECT Node, Distance FROM sssp`
 
-// loadRecoveryGraph creates edges(src, dst, weight) with out-degree
-// normalized weights over a small cyclic graph.
+// recoveryEdges is a small cyclic graph; edge weights are normalized by
+// the source's out-degree.
+var recoveryEdges = [][2]int64{
+	{1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {4, 1},
+	{4, 5}, {5, 3}, {5, 6}, {6, 7}, {7, 6}, {3, 7},
+}
+
+func recoveryWeights() map[[2]int64]float64 {
+	outdeg := map[int64]int{}
+	for _, e := range recoveryEdges {
+		outdeg[e[0]]++
+	}
+	w := make(map[[2]int64]float64, len(recoveryEdges))
+	for _, e := range recoveryEdges {
+		w[e] = 1.0 / float64(outdeg[e[0]])
+	}
+	return w
+}
+
+// recoveryDijkstra is the SSSP oracle for recoverySSSP: shortest
+// distances from node 1 over recoveryEdges.
+func recoveryDijkstra() map[int64]float64 {
+	w := recoveryWeights()
+	dist := map[int64]float64{}
+	for _, e := range recoveryEdges {
+		dist[e[0]], dist[e[1]] = math.Inf(1), math.Inf(1)
+	}
+	dist[1] = 0
+	done := map[int64]bool{}
+	for len(done) < len(dist) {
+		u := int64(-1)
+		for n, d := range dist {
+			if !done[n] && (u < 0 || d < dist[u] || (d == dist[u] && n < u)) {
+				u = n
+			}
+		}
+		done[u] = true
+		for e, ew := range w {
+			if e[0] == u && dist[u]+ew < dist[e[1]] {
+				dist[e[1]] = dist[u] + ew
+			}
+		}
+	}
+	return dist
+}
+
+// requireSSSPOracle checks one run's distances against the oracle.
+func requireSSSPOracle(t *testing.T, run string, got map[int64]float64) {
+	t.Helper()
+	want := recoveryDijkstra()
+	if len(got) != len(want) {
+		t.Fatalf("%s run: %d nodes, oracle %d", run, len(got), len(want))
+	}
+	for n, w := range want {
+		if g, ok := got[n]; !ok || math.Abs(w-g) > 1e-9 {
+			t.Fatalf("%s run: node %d distance %v, oracle %v", run, n, g, w)
+		}
+	}
+}
+
+// loadRecoveryGraph creates edges(src, dst, weight) over recoveryEdges.
 func loadRecoveryGraph(t *testing.T, s *sqloop.SQLoop) {
 	t.Helper()
 	ctx := context.Background()
@@ -66,16 +125,9 @@ func loadRecoveryGraph(t *testing.T, s *sqloop.SQLoop) {
 	if _, err := s.Exec(ctx, `CREATE TABLE edges (src BIGINT, dst BIGINT, weight DOUBLE)`); err != nil {
 		t.Fatal(err)
 	}
-	edges := [][2]int64{
-		{1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {4, 1},
-		{4, 5}, {5, 3}, {5, 6}, {6, 7}, {7, 6}, {3, 7},
-	}
-	outdeg := map[int64]int{}
-	for _, e := range edges {
-		outdeg[e[0]]++
-	}
-	for _, e := range edges {
-		stmt := fmt.Sprintf(`INSERT INTO edges VALUES (%d, %d, %g)`, e[0], e[1], 1.0/float64(outdeg[e[0]]))
+	w := recoveryWeights()
+	for _, e := range recoveryEdges {
+		stmt := fmt.Sprintf(`INSERT INTO edges VALUES (%d, %d, %g)`, e[0], e[1], w[e])
 		if _, err := s.Exec(ctx, stmt); err != nil {
 			t.Fatal(err)
 		}
@@ -111,13 +163,19 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	for _, profile := range sqloop.Profiles() {
 		for _, m := range modes {
 			t.Run(profile+"/"+m.name, func(t *testing.T) {
-				runCrashRecovery(t, profile, m.mode, m.query)
+				want, got := runCrashRecovery(t, profile, m.mode, m.query)
+				if m.query != recoveryPageRank {
+					requireSSSPOracle(t, "uninterrupted", want)
+					requireSSSPOracle(t, "recovered", got)
+				}
 			})
 		}
 	}
 }
 
-func runCrashRecovery(t *testing.T, profile string, mode sqloop.Mode, query string, serveOpts ...sqloop.OpenOption) {
+// runCrashRecovery returns the uninterrupted and the recovered run's
+// results, keyed by node, after requiring them to agree.
+func runCrashRecovery(t *testing.T, profile string, mode sqloop.Mode, query string, serveOpts ...sqloop.OpenOption) (want, got map[int64]float64) {
 	srv, err := sqloop.Serve(profile, "127.0.0.1:0", serveOpts...)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +210,7 @@ func runCrashRecovery(t *testing.T, profile string, mode sqloop.Mode, query stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := resultMap(t, ref)
+	want = resultMap(t, ref)
 
 	// Faulted run: on the first checkpoint event, schedule a connection
 	// kill on the very next wire operation. The request is dropped after
@@ -204,7 +262,7 @@ func runCrashRecovery(t *testing.T, profile string, mode sqloop.Mode, query stri
 		t.Fatalf("restore events = %d, want >= 1", rec.Count("restore"))
 	}
 
-	got := resultMap(t, res)
+	got = resultMap(t, res)
 	if len(got) != len(want) {
 		t.Fatalf("row counts differ: want %d, got %d", len(want), len(got))
 	}
@@ -217,6 +275,7 @@ func runCrashRecovery(t *testing.T, profile string, mode sqloop.Mode, query stri
 			t.Fatalf("node %d: uninterrupted %g, recovered %g", n, w, g)
 		}
 	}
+	return want, got
 }
 
 // TestCrashRecoverySingleMode covers the single-threaded executor's
@@ -243,10 +302,14 @@ func TestCrashRecoveryDiskBackend(t *testing.T) {
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			runCrashRecovery(t, "pgsim", m.mode, m.query,
+			want, got := runCrashRecovery(t, "pgsim", m.mode, m.query,
 				sqloop.WithBackend("disk"),
 				sqloop.WithDataDir(t.TempDir()),
 				sqloop.WithBufferPoolPages(64))
+			if m.query != recoveryPageRank {
+				requireSSSPOracle(t, "uninterrupted", want)
+				requireSSSPOracle(t, "recovered", got)
+			}
 		})
 	}
 }

@@ -18,6 +18,7 @@ package sqloop
 
 import (
 	"context"
+	"database/sql"
 	"fmt"
 	"strconv"
 	"strings"
@@ -181,17 +182,14 @@ var embeddedSeq atomic.Int64
 type OpenOption func(*openConfig)
 
 type openConfig struct {
-	cost          bool
-	observer      obs.Tracer
-	noStmtCache   bool
-	noExprCompile bool
-	noVectorize   bool
-	noParallel    bool
-	workers       int
-	backend       string
-	dataDir       string
-	poolPages     int
-	walCkptBytes  int64
+	cost         bool
+	observer     obs.Tracer
+	noStmtCache  bool
+	workers      int
+	backend      string
+	dataDir      string
+	poolPages    int
+	walCkptBytes int64
 
 	// Serving-layer knobs (Serve only; OpenEmbedded has no sessions to
 	// pool and ignores them).
@@ -238,9 +236,9 @@ func WithBackend(name string) OpenOption {
 	return func(c *openConfig) { c.backend = name }
 }
 
-// WithDataDir sets where the disk backend keeps its page and WAL files
-// (the option-API form of Options.DataDir). Empty keeps the default: a
-// throwaway temp directory.
+// WithDataDir sets where the disk backend keeps its page and WAL files.
+// Empty keeps the default: a throwaway temp directory, removed when the
+// instance or server is closed.
 func WithDataDir(dir string) OpenOption {
 	return func(c *openConfig) { c.dataDir = dir }
 }
@@ -273,39 +271,12 @@ func WithoutStmtCache() OpenOption {
 	return func(c *openConfig) { c.noStmtCache = true }
 }
 
-// WithoutExprCompile disables the embedded engine's expression
-// compiler (the option-API form of Options.DisableExprCompile, and the
-// only form Serve accepts). Expressions are then interpreted from
-// their ASTs on every row — the A/B baseline for compile-ablation
-// benchmarks.
-func WithoutExprCompile() OpenOption {
-	return func(c *openConfig) { c.noExprCompile = true }
-}
-
-// WithoutVectorize disables the embedded engine's vectorized batch
-// execution (the option-API form of Options.DisableVectorize, and the
-// only form Serve accepts). Compiled programs then run row-at-a-time —
-// the A/B baseline for vectorize-ablation benchmarks. Implied by
-// WithoutExprCompile, since the batch kernels ride on compiled
-// programs.
-func WithoutVectorize() OpenOption {
-	return func(c *openConfig) { c.noVectorize = true }
-}
-
 // WithWorkers sets the embedded engine's intra-query parallelism
-// degree (the option-API form of Options.Workers, and the only form
-// Serve accepts): morsel-driven parallel scans, joins and aggregation
-// over a shared pool of n goroutines. 0 means one worker per CPU; 1 is
+// degree: morsel-driven parallel scans, joins and aggregation over a
+// shared pool of n goroutines. 0 means one worker per CPU; 1 is
 // exactly the serial path. Results are bit-identical at every setting.
 func WithWorkers(n int) OpenOption {
 	return func(c *openConfig) { c.workers = n }
-}
-
-// WithoutParallel disables morsel-driven intra-query parallelism (the
-// option-API form of Options.DisableParallel, and the only form Serve
-// accepts) — the A/B baseline for the parallel-ablation benchmarks.
-func WithoutParallel() OpenOption {
-	return func(c *openConfig) { c.noParallel = true }
 }
 
 // WithWALCheckpointBytes starts the embedded disk backend's background
@@ -327,63 +298,46 @@ func applyOpenOptions(extra []OpenOption) openConfig {
 	return c
 }
 
-// applyStorageOptions resolves the backend/data-dir/pool-size knobs
-// (option API first, Options fields as fallback) onto an engine config.
-func applyStorageOptions(cfg *engine.Config, oc openConfig, dataDir string, poolPages int) error {
-	if oc.backend != "" {
-		k, err := storage.ParseKind(oc.backend)
-		if err != nil {
-			return err
-		}
-		cfg.Backend = k
-	}
-	cfg.DataDir = dataDir
-	if oc.dataDir != "" {
-		cfg.DataDir = oc.dataDir
-	}
-	cfg.BufferPoolPages = poolPages
-	if oc.poolPages != 0 {
-		cfg.BufferPoolPages = oc.poolPages
-	}
-	return nil
-}
-
-// OpenEmbedded spins up an embedded engine with the named profile
-// ("pgsim"/"postgres", "mysim"/"mysql", "mariasim"/"mariadb") and
-// returns a SQLoop bound to it. The engine and the driver report into
-// the instance's Metrics() registry, so one snapshot covers all layers.
-func OpenEmbedded(profile string, opts Options, extra ...OpenOption) (*SQLoop, error) {
-	oc := applyOpenOptions(extra)
+// engineConfig resolves the named profile plus the engine options into
+// an engine configuration.
+func engineConfig(profile string, oc openConfig) (engine.Config, error) {
 	cfg, err := engine.Profile(profile)
 	if err != nil {
-		return nil, err
+		return cfg, err
+	}
+	if oc.backend != "" {
+		if cfg.Backend, err = storage.ParseKind(oc.backend); err != nil {
+			return cfg, err
+		}
 	}
 	if oc.cost {
 		cfg.Cost = engine.DefaultCost(cfg.Dialect)
 	}
 	if oc.noStmtCache {
 		cfg.StmtCacheSize = -1
-		opts.DisableStmtCache = true
 	}
-	if oc.noExprCompile || opts.DisableExprCompile {
-		cfg.DisableExprCompile = true
-	}
-	if oc.noVectorize || opts.DisableVectorize {
-		cfg.DisableVectorize = true
-	}
-	if oc.noParallel || opts.DisableParallel {
-		cfg.DisableParallel = true
-	}
-	cfg.Workers = opts.Workers
-	if oc.workers != 0 {
-		cfg.Workers = oc.workers
-	}
+	cfg.Workers = oc.workers
+	cfg.DataDir = oc.dataDir
+	cfg.BufferPoolPages = oc.poolPages
 	cfg.WALCheckpointBytes = oc.walCkptBytes
+	return cfg, nil
+}
+
+// OpenEmbedded spins up an embedded engine with the named profile
+// ("pgsim"/"postgres", "mysim"/"mysql", "mariasim"/"mariadb") and
+// returns a SQLoop bound to it. The engine and the driver report into
+// the instance's Metrics() registry, so one snapshot covers all layers.
+// The instance owns the engine: its Close also closes the engine,
+// removing a temporary disk data directory.
+func OpenEmbedded(profile string, opts Options, extra ...OpenOption) (*SQLoop, error) {
+	oc := applyOpenOptions(extra)
+	cfg, err := engineConfig(profile, oc)
+	if err != nil {
+		return nil, err
+	}
+	opts.DisableStmtCache = opts.DisableStmtCache || oc.noStmtCache
 	if oc.observer != nil {
 		opts.Observer = obs.Multi(opts.Observer, oc.observer)
-	}
-	if err := applyStorageOptions(&cfg, oc, opts.DataDir, opts.BufferPoolPages); err != nil {
-		return nil, err
 	}
 	eng := engine.New(cfg)
 	// A middleware checkpoint on a durable engine also flushes the
@@ -392,24 +346,21 @@ func OpenEmbedded(profile string, opts Options, extra ...OpenOption) (*SQLoop, e
 	if cfg.Backend == storage.KindDisk && opts.AfterCheckpoint == nil {
 		opts.AfterCheckpoint = eng.Checkpoint
 	}
-	handle := "embedded-" + strconv.FormatInt(embeddedSeq.Add(1), 10)
-	driver.RegisterEngine(handle, eng)
 	if opts.Dialect == "" {
 		opts.Dialect = cfg.Dialect.String()
 	}
 	// One registry shared by the middleware, the driver connections and
-	// the engine: register it before core.Open so even the first pooled
-	// connection reports into it.
+	// the engine: configure it before the first pooled connection opens
+	// so even that one reports into it.
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
-	dsn := driver.InprocDSN(handle)
 	eng.SetMetrics(opts.Metrics)
-	driver.Configure(dsn, driver.Config{Metrics: opts.Metrics})
-	s, err := core.Open(driver.DriverName, dsn, opts)
+	handle := "embedded-" + strconv.FormatInt(embeddedSeq.Add(1), 10)
+	db := sql.OpenDB(driver.OwnEngine(handle, eng, driver.Config{Metrics: opts.Metrics}))
+	s, err := core.NewWithDB(db, driver.InprocDSN(handle), opts)
 	if err != nil {
-		driver.UnregisterEngine(handle)
-		driver.Configure(dsn, driver.Config{})
+		_ = db.Close()
 		return nil, err
 	}
 	return s, nil
@@ -472,6 +423,7 @@ func OpenEmbeddedElasticShards(profile string, n, replicas int, gopts ShardGroup
 // sqlsim://tcp DSNs — the paper's remote-database deployment.
 type Server struct {
 	srv  *wire.Server
+	eng  *engine.Engine
 	addr string
 }
 
@@ -481,28 +433,8 @@ type Server struct {
 // WithMaxSessions, WithQueueDepth, WithTenantLimit and WithDeadline.
 func Serve(profile, addr string, extra ...OpenOption) (*Server, error) {
 	oc := applyOpenOptions(extra)
-	cfg, err := engine.Profile(profile)
+	cfg, err := engineConfig(profile, oc)
 	if err != nil {
-		return nil, err
-	}
-	if oc.cost {
-		cfg.Cost = engine.DefaultCost(cfg.Dialect)
-	}
-	if oc.noStmtCache {
-		cfg.StmtCacheSize = -1
-	}
-	if oc.noExprCompile {
-		cfg.DisableExprCompile = true
-	}
-	if oc.noVectorize {
-		cfg.DisableVectorize = true
-	}
-	if oc.noParallel {
-		cfg.DisableParallel = true
-	}
-	cfg.Workers = oc.workers
-	cfg.WALCheckpointBytes = oc.walCkptBytes
-	if err := applyStorageOptions(&cfg, oc, "", 0); err != nil {
 		return nil, err
 	}
 	eng := engine.New(cfg)
@@ -518,9 +450,11 @@ func Serve(profile, addr string, extra ...OpenOption) (*Server, error) {
 	})
 	bound, err := srv.Listen(addr)
 	if err != nil {
+		_ = srv.Close()
+		_ = eng.Close()
 		return nil, err
 	}
-	return &Server{srv: srv, addr: bound}, nil
+	return &Server{srv: srv, eng: eng, addr: bound}, nil
 }
 
 // Addr returns the bound address (connect with sqloop.Open(TCPDSN)).
@@ -529,8 +463,14 @@ func (s *Server) Addr() string { return s.addr }
 // DSN returns the DSN clients should open.
 func (s *Server) DSN() string { return driver.TCPDSN(s.addr) }
 
-// Close stops the server and its connections.
-func (s *Server) Close() error { return s.srv.Close() }
+// Close stops the server and its connections, then closes its engine.
+func (s *Server) Close() error {
+	err := s.srv.Close()
+	if engErr := s.eng.Close(); err == nil {
+		err = engErr
+	}
+	return err
+}
 
 // Metrics returns the server's registry: per-statement wire latency,
 // request counts, traffic bytes and engine-side instruments.
