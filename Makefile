@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-par race-elastic fuzz crash tier1 bench bench-smoke bench-traffic bench-trend check-deprecated clean
+.PHONY: all build vet test race race-par race-elastic fuzz crash tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
 
 all: tier1
 
@@ -68,6 +68,25 @@ bench:
 # iteration count.
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=100x -benchmem ./internal/engine ./internal/vec ./internal/wire
+
+# End-to-end correctness in one command: a short traced run of every
+# perfbench workload, failing unless the run's closing JSON line reports
+# correct answers and no failed query.
+PERFBENCH_WORKLOADS = pagerank-heap dq-wire-shards sssp-disk-ckpt
+
+perfbench-smoke:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench-smoke: $$w"; \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 5 --trace 1 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*) ;; \
+		*) echo "perfbench-smoke: $$w: answers not correct: $$(echo "$$last" | cut -c1-120)"; exit 1;; \
+		esac; \
+		case "$$last" in \
+		*'"failed":0,'*) ;; \
+		*) echo "perfbench-smoke: $$w: failed queries: $$(echo "$$last" | cut -c1-120)"; exit 1;; \
+		esac; \
+	done
 
 # Smoke-scale run of the PR6 serving-traffic experiment (open-loop
 # mixed load against the pooled server); the full run writes

@@ -180,7 +180,10 @@ func (pl *plan) absorbStmt(x int) sqlparser.Statement {
 
 // activityFilter restricts message emission to rows whose delta is not
 // the identity (rows with nothing new contribute nothing; skipping them
-// is what makes sparse workloads like SSSP cheap, §V-D/E). For MIN/MAX
+// is what makes sparse workloads like SSSP cheap, §V-D/E). It reads only
+// the partition's columns, so the engine applies it to the partition
+// before the join with the edges (predicate pushdown in
+// internal/engine/from.go): the skip happens before the probe. For MIN/MAX
 // plans it additionally requires the delta to have won the absorb — the
 // DAIC improvement rule: a delta that did not improve the value carries
 // no information the value has not already propagated, and without this

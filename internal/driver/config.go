@@ -8,11 +8,11 @@ import (
 	"sqloop/internal/wire"
 )
 
-// Config is the complete per-DSN configuration, applied to every
-// connection subsequently opened for that DSN. database/sql constructs
-// connections from the DSN string alone, so per-DSN state must live in
-// a process-wide map; Configure replaces the whole entry atomically, so
-// a reader can never observe a half-updated combination.
+// Config is the complete configuration of a connection. A connector
+// (NewConnector, OwnEngine) carries its own; sql.Open by DSN string
+// reads the process-wide entry Configure sets for that DSN. Configure
+// replaces the whole entry atomically, so a reader can never observe a
+// half-updated combination.
 type Config struct {
 	// Metrics receives per-statement counters and latency histograms
 	// (driver_statements_total, driver_statement_seconds) plus, for
@@ -66,20 +66,17 @@ func configFor(dsn string) Config {
 	return dsnConfigs.m[dsn]
 }
 
-// metricsFor, retryFor and wireVerFor read single fields for the
-// driver's internals.
-
-func metricsFor(dsn string) *obs.Registry { return configFor(dsn).Metrics }
-
-func retryFor(dsn string) RetryPolicy {
-	if p := configFor(dsn).Retry; p != (RetryPolicy{}) {
-		return p
+// retry resolves the retry policy (the zero value means the default).
+func (c Config) retry() RetryPolicy {
+	if c.Retry != (RetryPolicy{}) {
+		return c.Retry
 	}
 	return DefaultRetryPolicy
 }
 
-func wireVerFor(dsn string) int {
-	switch v := configFor(dsn).WireVer; {
+// wireVer resolves the wire protocol version cap.
+func (c Config) wireVer() int {
+	switch v := c.WireVer; {
 	case v == 0:
 		return wire.WireVersion
 	case v < 0:

@@ -25,8 +25,8 @@ func TestConfigureReplacesWholeEntry(t *testing.T) {
 	if got.Metrics != reg || got.Retry.MaxAttempts != 2 || got.Tenant != "acme" || got.Deadline != 250*time.Millisecond {
 		t.Fatalf("configFor = %+v", got)
 	}
-	if wireVerFor(dsn) != 0 {
-		t.Fatalf("wireVerFor = %d, want 0 (negative WireVer forces JSON)", wireVerFor(dsn))
+	if v := configFor(dsn).wireVer(); v != 0 {
+		t.Fatalf("wireVer = %d, want 0 (negative WireVer forces JSON)", v)
 	}
 	// Replacing drops fields not restated — atomic, not merged.
 	Configure(dsn, Config{Tenant: "other"})

@@ -54,37 +54,47 @@ func UnregisterEngine(handle string) {
 	delete(engines.m, handle)
 }
 
-// engineConnector opens connections to the one in-process engine it
-// owns; see OwnEngine.
+// NewConnector returns a database/sql connector whose connections to
+// dsn use cfg rather than the DSN's Configure entry, so two handles on
+// one DSN keep their own settings (their metrics registries above all).
+// Query parameters in dsn fill fields cfg leaves empty, as in Open.
+func NewConnector(dsn string, cfg Config) driver.Connector {
+	return &dsnConnector{dsn: dsn, cfg: cfg}
+}
+
+type dsnConnector struct {
+	dsn string
+	cfg Config
+}
+
+func (c *dsnConnector) Connect(context.Context) (driver.Conn, error) {
+	return open(c.dsn, c.cfg)
+}
+
+func (c *dsnConnector) Driver() driver.Driver { return Driver{} }
+
+// engineConnector is a dsnConnector that also owns the in-process
+// engine behind its DSN; see OwnEngine.
 type engineConnector struct {
-	handle, dsn string
-	eng         *engine.Engine
+	dsnConnector
+	handle string
+	eng    *engine.Engine
 }
 
-// OwnEngine registers eng under handle and configures its inproc DSN
-// with cfg, returning a connector that owns all three: closing the
-// *sql.DB opened over it with sql.OpenDB closes the engine, unregisters
-// the handle and removes the DSN's configuration. Connections are the
-// ones Open would make for InprocDSN(handle), so the DSN stays the
-// engine's identity.
+// OwnEngine registers eng under handle and returns a connector whose
+// connections reach it with cfg: closing the *sql.DB opened over it
+// with sql.OpenDB closes the engine and unregisters the handle. The
+// connections are the ones Open would make for InprocDSN(handle), so
+// the DSN stays the engine's identity.
 func OwnEngine(handle string, eng *engine.Engine, cfg Config) driver.Connector {
-	dsn := InprocDSN(handle)
 	RegisterEngine(handle, eng)
-	Configure(dsn, cfg)
-	return &engineConnector{handle: handle, dsn: dsn, eng: eng}
+	return &engineConnector{dsnConnector: dsnConnector{dsn: InprocDSN(handle), cfg: cfg}, handle: handle, eng: eng}
 }
-
-func (c *engineConnector) Connect(context.Context) (driver.Conn, error) {
-	return Driver{}.Open(c.dsn)
-}
-
-func (c *engineConnector) Driver() driver.Driver { return Driver{} }
 
 // Close runs once, from sql.DB.Close, after the pool's connections are
 // closed.
 func (c *engineConnector) Close() error {
 	UnregisterEngine(c.handle)
-	Configure(c.dsn, Config{})
 	return c.eng.Close()
 }
 
@@ -135,6 +145,11 @@ func init() {
 // tenant=<id> and deadline=<duration> query parameters; an explicit
 // Configure for the same DSN string takes precedence field by field.
 func (Driver) Open(dsn string) (driver.Conn, error) {
+	return open(dsn, configFor(dsn))
+}
+
+// open creates one connection for the DSN under cfg.
+func open(dsn string, cfg Config) (driver.Conn, error) {
 	rest, ok := strings.CutPrefix(dsn, "sqlsim://")
 	if !ok {
 		return nil, fmt.Errorf("driver: DSN %q must start with sqlsim://", dsn)
@@ -143,7 +158,6 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("driver: DSN %q missing target", dsn)
 	}
-	cfg := configFor(dsn)
 	target, err := applyDSNParams(target, &cfg)
 	if err != nil {
 		return nil, fmt.Errorf("driver: DSN %q: %w", dsn, err)
@@ -158,7 +172,7 @@ func (Driver) Open(dsn string) (driver.Conn, error) {
 		}
 		return newConn(&inprocExec{sess: eng.NewSession()}, cfg.Metrics), nil
 	case "tcp":
-		e := newWireExec(target, cfg, retryFor(dsn), wireVerFor(dsn))
+		e := newWireExec(target, cfg, cfg.retry(), cfg.wireVer())
 		if err := e.dialRetry(context.Background()); err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sqloop/internal/obs"
 	"sqloop/internal/sqlparser"
 	"sqloop/internal/sqltypes"
 	"sqloop/internal/storage"
@@ -607,5 +608,48 @@ func TestCostModelScalesByProfile(t *testing.T) {
 	var nilModel *CostModel
 	if nilModel.charge(w) != 0 {
 		t.Error("nil cost model must charge zero")
+	}
+}
+
+// TestRowsGroupedCountsGroupInput checks Stats.RowsGrouped counts each
+// row entering a GROUP BY (or a whole-input aggregate) once, on the
+// batch, morsel-parallel and row grouping paths alike.
+func TestRowsGroupedCountsGroupInput(t *testing.T) {
+	lowerMorsels(t)
+	const n = parRowsBig
+	for name, cfg := range map[string]Config{
+		"batch":    {Workers: 1},
+		"parallel": {Workers: 4},
+		"rows":     {Workers: 1, DisableVectorize: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := New(cfg)
+			defer eng.Close()
+			reg := obs.NewRegistry()
+			eng.SetMetrics(reg)
+			s := eng.NewSession()
+			mustExec(t, s, `CREATE TABLE g (id BIGINT PRIMARY KEY, k BIGINT)`)
+			for i := 0; i < n; i++ {
+				mustExec(t, s, `INSERT INTO g VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i%7)))
+			}
+			for _, q := range []string{
+				`SELECT k, COUNT(*) FROM g GROUP BY k`,
+				`SELECT SUM(k) FROM g`,
+				`SELECT k FROM g WHERE id < 100 GROUP BY k`,
+			} {
+				before := eng.Stats().RowsGrouped
+				mustExec(t, s, q)
+				want := int64(n)
+				if strings.Contains(q, "id < 100") {
+					want = 100
+				}
+				if got := eng.Stats().RowsGrouped - before; got != want {
+					t.Errorf("%s: RowsGrouped grew by %d, want %d", q, got, want)
+				}
+			}
+			if morsels := reg.Counter("sqloop_parallel_morsels_total").Value(); (morsels > 0) != (cfg.Workers > 1) {
+				t.Errorf("workers=%d ran %d morsels", cfg.Workers, morsels)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -16,23 +17,22 @@ var sleep = time.Sleep
 
 // evalFromList materializes the FROM clause: each item becomes a source;
 // multiple items are cross-joined. where (may be nil) enables index
-// pushdown for the single-base-table fast path.
+// pushdown for the single-base-table fast path and predicate pushdown
+// into a single join tree (see pushableWhere).
 func (x *executor) evalFromList(items []sqlparser.TableExpr, where sqlparser.Expr) (*source, error) {
 	if len(items) == 0 {
 		// SELECT without FROM: a single empty row.
 		return &source{frame: &frame{}, rows: []sqltypes.Row{{}}}, nil
 	}
+	if len(items) == 1 {
+		if j, ok := items[0].(*sqlparser.JoinExpr); ok {
+			return x.evalJoin(j, pushableWhere(j, where))
+		}
+		return x.evalTableExpr(items[0], where)
+	}
 	var cur *source
 	for i, te := range items {
-		var s *source
-		var err error
-		// Index pushdown only applies when the whole FROM is one base
-		// table (predicates referencing other relations cannot be used).
-		if len(items) == 1 {
-			s, err = x.evalTableExpr(te, where)
-		} else {
-			s, err = x.evalTableExpr(te, nil)
-		}
+		s, err := x.evalTableExpr(te, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func (x *executor) evalTableExpr(te sqlparser.TableExpr, pushWhere sqlparser.Exp
 		f.addRel(t.Alias, rel.cols)
 		return &source{frame: f, rows: rel.rows}, nil
 	case *sqlparser.JoinExpr:
-		return x.evalJoin(t)
+		return x.evalJoin(t, nil)
 	default:
 		return nil, fmt.Errorf("engine: unsupported table expression %T", te)
 	}
@@ -216,30 +216,51 @@ func (x *executor) colConstPair(colSide, constSide sqlparser.Expr, tbl *Table, a
 // evalJoin materializes a JOIN tree, using an index nested-loop join
 // when the right side is an indexed base table, a hash join when the ON
 // clause contains equi-conjuncts separable into left/right sides, and a
-// plain nested loop otherwise.
-func (x *executor) evalJoin(j *sqlparser.JoinExpr) (*source, error) {
-	left, err := x.evalTableExpr(j.Left, nil)
+// plain nested loop otherwise. push, when non-nil, is the statement's
+// WHERE, filtered into whichever input it references before the probe
+// or build (see pushFilter); the caller still applies it to the output.
+func (x *executor) evalJoin(j *sqlparser.JoinExpr, push sqlparser.Expr) (*source, error) {
+	var pushLeft, pushRight sqlparser.Expr
+	if push != nil && onKeysOnly(j) {
+		// The left input is preserved by every join type; the right only
+		// by inner ones (a LEFT JOIN pads unmatched rows with NULLs that
+		// the predicate may accept).
+		pushLeft = push
+		if j.Type != sqlparser.JoinLeft {
+			pushRight = push
+		}
+	}
+	left, err := x.evalJoinInput(j.Left, pushLeft)
 	if err != nil {
 		return nil, err
 	}
-	if out, ok, err := x.tryIndexJoin(j, left); err != nil {
+	if left.pushed {
+		pushRight = nil
+	}
+	if out, ok, err := x.tryIndexJoin(j, left, pushRight); err != nil {
 		return nil, err
 	} else if ok {
+		out.pushed = out.pushed || left.pushed
 		return out, nil
 	}
-	right, err := x.evalTableExpr(j.Right, nil)
+	right, err := x.evalJoinInput(j.Right, pushRight)
 	if err != nil {
 		return nil, err
 	}
+	if err := x.validateExpr(j.On, concatFrames(left.frame, right.frame), nil); err != nil {
+		return nil, err
+	}
+	pushed := left.pushed || right.pushed
 	if j.Type == sqlparser.JoinCross {
 		out := crossJoin(left, right)
+		out.pushed = pushed
 		x.work.joined += int64(len(out.rows))
 		return out, nil
 	}
 
 	leftKeys, rightKeys, residual := splitEquiConjuncts(j.On, left.frame, right.frame)
 	outFrame := concatFrames(left.frame, right.frame)
-	out := &source{frame: outFrame}
+	out := &source{frame: outFrame, pushed: pushed}
 	nullsRight := make(sqltypes.Row, right.frame.width)
 	joined := int64(0)
 
@@ -354,6 +375,132 @@ func (x *executor) evalJoin(j *sqlparser.JoinExpr) (*source, error) {
 	x.work.joined += joined
 	x.eng.stats.RowsJoined.Add(joined)
 	return out, nil
+}
+
+// evalJoinInput materializes one input of a join and filters it by the
+// pushed WHERE w (nil for none) when w references that input alone.
+func (x *executor) evalJoinInput(te sqlparser.TableExpr, w sqlparser.Expr) (*source, error) {
+	var s *source
+	var err error
+	if j, ok := te.(*sqlparser.JoinExpr); ok {
+		s, err = x.evalJoin(j, w)
+	} else {
+		s, err = x.evalTableExpr(te, nil)
+	}
+	if err != nil || w == nil {
+		return s, err
+	}
+	return s, x.pushFilter(s, w)
+}
+
+// pushFilter applies a pushed WHERE to a join input whose frame
+// resolves every column it references, unambiguously, keeping the rows
+// it holds for and those it raises on (filterRows' deferErrs). The full
+// WHERE still runs over the joined rows, so the result, and whether the
+// statement raises, match the unpushed plan: a dropped row evaluates
+// the WHERE cleanly to FALSE or NULL, reads only this input's columns,
+// and so cannot pass the outer WHERE either; a row the WHERE raises on
+// raises there exactly when it survives the join. Every ON clause above
+// the input only compares columns (onKeysOnly), so dropping rows early
+// cannot hide an ON error either.
+func (x *executor) pushFilter(s *source, w sqlparser.Expr) error {
+	if s.pushed || x.validateExpr(w, s.frame, nil) != nil {
+		return nil
+	}
+	rows, err := x.filterRows(w, s, true)
+	if err != nil {
+		return err
+	}
+	s.rows, s.pushed = rows, true
+	return nil
+}
+
+// pushableWhere returns where when it may be pushed into join tree j:
+// it runs no subquery (each would run once per input row, twice over),
+// and every relation in j has its own name, so a qualified column means
+// the same relation in an input as in the joined frame.
+func pushableWhere(j *sqlparser.JoinExpr, where sqlparser.Expr) sqlparser.Expr {
+	if where == nil {
+		return nil
+	}
+	ok := true
+	sqlparser.WalkExpr(where, func(x sqlparser.Expr) bool {
+		switch t := x.(type) {
+		case *sqlparser.Subquery, *sqlparser.ExistsExpr:
+			ok = false
+		case *sqlparser.InExpr:
+			ok = ok && t.Sub == nil
+		}
+		return ok
+	})
+	seen := make(map[string]bool)
+	for _, n := range relNames(j, nil) {
+		ok = ok && !seen[n]
+		seen[n] = true
+	}
+	if !ok {
+		return nil
+	}
+	return where
+}
+
+// relNames appends the lowercased relation names a FROM item binds.
+func relNames(te sqlparser.TableExpr, out []string) []string {
+	switch t := te.(type) {
+	case *sqlparser.TableName:
+		if t.Alias != "" {
+			return append(out, strings.ToLower(t.Alias))
+		}
+		return append(out, strings.ToLower(t.Name))
+	case *sqlparser.SubqueryTable:
+		return append(out, strings.ToLower(t.Alias))
+	case *sqlparser.JoinExpr:
+		return relNames(t.Right, relNames(t.Left, out))
+	}
+	return out
+}
+
+// onKeysOnly reports whether evaluating j's join condition can raise
+// on no row: a cross join, or an ON clause made only of equalities
+// between a qualified column of each input. Once validateExpr has
+// resolved those columns, every conjunct becomes a hash or index key,
+// and key lookups compare without raising. Only then may a pushed
+// filter drop an input row the unpushed plan would have fed to the ON.
+func onKeysOnly(j *sqlparser.JoinExpr) bool {
+	if j.Type == sqlparser.JoinCross {
+		return true
+	}
+	if j.On == nil {
+		return false
+	}
+	left, right := relNames(j.Left, nil), relNames(j.Right, nil)
+	ok := true
+	var walk func(e sqlparser.Expr)
+	walk = func(e sqlparser.Expr) {
+		if le, isAnd := e.(*sqlparser.LogicalExpr); isAnd && le.Op == sqlparser.LogicAnd {
+			walk(le.Left)
+			walk(le.Right)
+			return
+		}
+		cmp, isCmp := e.(*sqlparser.ComparisonExpr)
+		if !isCmp || cmp.Op != sqltypes.CmpEQ {
+			ok = false
+			return
+		}
+		l, lok := cmp.Left.(*sqlparser.ColumnRef)
+		r, rok := cmp.Right.(*sqlparser.ColumnRef)
+		if !lok || !rok {
+			ok = false
+			return
+		}
+		lt, rt := strings.ToLower(l.Table), strings.ToLower(r.Table)
+		if !(slices.Contains(left, lt) && slices.Contains(right, rt)) &&
+			!(slices.Contains(left, rt) && slices.Contains(right, lt)) {
+			ok = false
+		}
+	}
+	walk(j.On)
+	return ok
 }
 
 // hashJoinProbe carries the probe phase's shared, effectively-immutable
@@ -799,7 +946,11 @@ func walkJoin(je *sqlparser.JoinExpr, fn func(*sqlparser.TableName)) {
 // This is the access path SQLoop's materialized-join index exists for
 // (§V-C: "indexes on all tables ensure that unnecessary scans will be
 // avoided").
-func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source) (*source, bool, error) {
+//
+// pushRight, when non-nil, is a pushed WHERE (see evalJoin); when it
+// resolves against the right table alone it filters each looked-up row
+// before the residual.
+func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight sqlparser.Expr) (*source, bool, error) {
 	if j.Type == sqlparser.JoinCross {
 		return nil, false, nil
 	}
@@ -852,11 +1003,20 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source) (*source, b
 	}
 
 	outFrame := concatFrames(left.frame, rightFrame)
+	if err := x.validateExpr(j.On, outFrame, nil); err != nil {
+		return nil, false, err
+	}
 	out := &source{frame: outFrame}
+	var rightProg program
+	if pushRight != nil && x.validateExpr(pushRight, rightFrame, nil) == nil {
+		rightProg = x.prog(pushRight, rightFrame)
+		out.pushed = true
+	}
 	nullsRight := make(sqltypes.Row, rightFrame.width)
 	keyProg := x.prog(leftKeys[0], left.frame)
 	resProg := x.residualProg(residual, outFrame)
 	lenv := &evalEnv{frame: left.frame, x: x}
+	renv := &evalEnv{frame: rightFrame, x: x}
 	cenv := &evalEnv{frame: outFrame, x: x}
 	combined := make(sqltypes.Row, outFrame.width)
 	joined := int64(0)
@@ -882,6 +1042,13 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source) (*source, b
 				}
 			}
 			for _, rb := range candidates {
+				if rightProg != nil {
+					// A raising predicate keeps the row, as in pushFilter.
+					renv.row = rb
+					if v, err := rightProg(renv); err == nil && !v.IsTrue() {
+						continue
+					}
+				}
 				joined++
 				if resProg != nil {
 					copy(combined, ra)

@@ -246,13 +246,13 @@ func (x *executor) parRun(n int, fn func(m, lo, hi int) error) error {
 // morselRows is a multiple of vec.BatchSize, the window boundaries —
 // and therefore every window's batch-vs-fallback decision — are the
 // same as the serial cursor's.
-func (x *executor) vecFilterPar(vp *vplan, where sqlparser.Expr, src *source) ([]sqltypes.Row, error) {
+func (x *executor) vecFilterPar(vp *vplan, where sqlparser.Expr, src *source, deferErrs bool) ([]sqltypes.Row, error) {
 	n := len(src.rows)
 	parts := make([][]sqltypes.Row, morselCount(n))
 	scan := x.takeScanCharge(src)
 	err := x.parRun(n, func(m, lo, hi int) error {
 		child := x.fork()
-		kept, err := child.vecFilter(vp, where, &source{frame: src.frame, rows: src.rows[lo:hi]})
+		kept, err := child.vecFilter(vp, where, &source{frame: src.frame, rows: src.rows[lo:hi]}, deferErrs)
 		if err != nil {
 			return err
 		}

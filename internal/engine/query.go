@@ -323,6 +323,9 @@ type source struct {
 	frame       *frame
 	rows        []sqltypes.Row
 	scanCharged bool
+	// pushed marks rows already filtered by a WHERE pushed below a
+	// join (see pushFilter), so no enclosing join filters them again.
+	pushed bool
 }
 
 // outRow pairs a projected output row with the environment it was
@@ -358,33 +361,8 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 
 	// WHERE (before star expansion, matching interpreter error order).
 	if s.Where != nil {
-		if vp := x.vecPlanFor(s.Where, src.frame); vp != nil {
-			var kept []sqltypes.Row
-			var err error
-			if x.parallelOK(len(src.rows)) {
-				kept, err = x.vecFilterPar(vp, s.Where, src)
-			} else {
-				kept, err = x.vecFilter(vp, s.Where, src)
-			}
-			if err != nil {
-				return nil, err
-			}
-			src.rows = kept
-		} else {
-			p := x.prog(s.Where, src.frame)
-			kept := src.rows[:0:0]
-			env := &evalEnv{frame: src.frame, x: x}
-			for _, r := range src.rows {
-				env.row = r
-				v, err := p(env)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsTrue() {
-					kept = append(kept, r)
-				}
-			}
-			src.rows = kept
+		if src.rows, err = x.filterRows(s.Where, src, false); err != nil {
+			return nil, err
 		}
 	}
 
@@ -450,6 +428,9 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 				return nil, err
 			}
 		}
+		// Counted once, by whichever grouping path finished (a failed
+		// batch attempt falls through to groupRows over the same rows).
+		x.eng.stats.RowsGrouped.Add(int64(len(src.rows)))
 		for gi, g := range groups {
 			env := &evalEnv{frame: src.frame, x: x, aggs: make(map[*sqlparser.FuncCall]sqltypes.Value, len(plan.aggs))}
 			switch {
@@ -568,6 +549,45 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 		rel.rows[i] = o.row
 	}
 	return rel, nil
+}
+
+// filterRows returns the rows of src for which where holds, batch-at-a-
+// time when the predicate has a batch plan (morsel-parallel on large
+// inputs) and through the compiled row program otherwise. It serves
+// both the WHERE over a FROM clause and the filters pushed below a
+// join. With deferErrs a row whose predicate raises is kept rather than
+// failing the statement: a pushed filter leaves that verdict to the
+// full WHERE over the joined rows, which raises exactly when the row
+// survives the join.
+func (x *executor) filterRows(where sqlparser.Expr, src *source, deferErrs bool) ([]sqltypes.Row, error) {
+	if vp := x.vecPlanFor(where, src.frame); vp != nil {
+		if x.parallelOK(len(src.rows)) {
+			return x.vecFilterPar(vp, where, src, deferErrs)
+		}
+		return x.vecFilter(vp, where, src, deferErrs)
+	}
+	env := &evalEnv{frame: src.frame, x: x}
+	return keepRows(x.prog(where, src.frame), env, src.rows, src.rows[:0:0], deferErrs)
+}
+
+// keepRows appends to kept the rows for which the row program p yields
+// TRUE (and, with deferErrs, those for which it raises).
+func keepRows(p program, env *evalEnv, rows, kept []sqltypes.Row, deferErrs bool) ([]sqltypes.Row, error) {
+	for _, r := range rows {
+		env.row = r
+		v, err := p(env)
+		if err != nil {
+			if !deferErrs {
+				return nil, err
+			}
+			kept = append(kept, r)
+			continue
+		}
+		if v.IsTrue() {
+			kept = append(kept, r)
+		}
+	}
+	return kept, nil
 }
 
 // sortIndexByKeys returns the stable ordering of n rows under the

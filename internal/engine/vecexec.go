@@ -154,8 +154,9 @@ func (x *executor) vecJoinPlan(on sqlparser.Expr, keys []sqlparser.Expr, f *fram
 // vecFilter applies the compiled WHERE batch plan to src.rows,
 // returning the rows the predicate holds for. A batch whose kernels
 // error is re-run through the compiled row program, reproducing the
-// row path's results and error timing exactly.
-func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source) ([]sqltypes.Row, error) {
+// row path's results and error timing exactly; deferErrs is
+// filterRows'.
+func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source, deferErrs bool) ([]sqltypes.Row, error) {
 	vx := x.newVecExec(src.frame, src.rows)
 	kept := src.rows[:0:0]
 	node := &vp.nodes[0]
@@ -176,15 +177,8 @@ func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source) ([]sq
 				rowProg = x.prog(where, src.frame)
 				env = &evalEnv{frame: src.frame, x: x}
 			}
-			for _, r := range vx.win {
-				env.row = r
-				v, err := rowProg(env)
-				if err != nil {
-					return nil, err
-				}
-				if v.IsTrue() {
-					kept = append(kept, r)
-				}
+			if kept, err = keepRows(rowProg, env, vx.win, kept, deferErrs); err != nil {
+				return nil, err
 			}
 			continue
 		}

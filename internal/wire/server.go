@@ -150,8 +150,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.SetWriteDeadline(time.Now().Add(DefaultFrameTimeout))
 		var wn int
 		if ver >= 1 && req.Op != OpHello && resp.Code == "" {
-			wn, err = writeRawFrameN(conn, AppendBinaryResponse(nil, resp, rows))
+			// Count the rows before the reply leaves: a client that reads
+			// the server's metrics after its last reply must see them.
 			rowsEncoded.Add(int64(len(rows)))
+			wn, err = writeRawFrameN(conn, AppendBinaryResponse(nil, resp, rows))
 			bytesBinary.Add(int64(wn))
 		} else {
 			resp.Rows = toWireRows(rows)

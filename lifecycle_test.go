@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sqloop"
+	"sqloop/internal/driver"
 )
 
 // TestCloseReleasesOwnedEngines opens and closes disk-backed embedded
@@ -79,5 +80,48 @@ func TestCloseReleasesOwnedEngines(t *testing.T) {
 				runtime.NumGoroutine(), cycles, baseline, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestOpenKeepsDriverMetricsPerInstance opens two instances on one DSN:
+// each counts only its own statements in its driver metrics, and
+// neither leaves a process-wide driver configuration behind.
+func TestOpenKeepsDriverMetricsPerInstance(t *testing.T) {
+	ctx := context.Background()
+	srv, err := sqloop.Serve("pgsim", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dsn := srv.DSN()
+	first, err := sqloop.Open(dsn, sqloop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sqloop.Open(dsn, sqloop.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := first.Exec(ctx, `SELECT 1`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := second.Exec(ctx, `SELECT 2`); err != nil {
+		t.Fatal(err)
+	}
+	count := func(s *sqloop.SQLoop) int64 {
+		return s.Metrics().Counter("driver_statements_total").Value()
+	}
+	if a, b := count(first), count(second); a != 3 || b != 1 {
+		t.Errorf("driver_statements_total = %d and %d, want 3 and 1", a, b)
+	}
+	for _, s := range []*sqloop.SQLoop{first, second} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := driver.ConfigFor(dsn); got != (driver.Config{}) {
+		t.Errorf("driver configuration left for %s: %+v", dsn, got)
 	}
 }

@@ -163,16 +163,16 @@ func ParseMode(name string) (Mode, error) { return core.ParseMode(name) }
 // sqlsimd server.
 func Open(dsn string, opts Options) (*SQLoop, error) {
 	// Share one registry between the middleware and the driver (and, for
-	// tcp DSNs, the wire client), mirroring OpenEmbedded's wiring; the
-	// registration must precede core.Open so the first pooled connection
-	// reports into it.
+	// tcp DSNs, the wire client), mirroring OpenEmbedded's wiring. The
+	// instance's connector carries it, so another Open of the same DSN
+	// cannot take it over; other driver settings come from the DSN's
+	// Configure entry as it stands now.
 	if opts.Metrics == nil {
 		opts.Metrics = obs.NewRegistry()
 	}
 	dcfg := driver.ConfigFor(dsn)
 	dcfg.Metrics = opts.Metrics
-	driver.Configure(dsn, dcfg)
-	return core.Open(driver.DriverName, dsn, opts)
+	return core.NewWithDB(sql.OpenDB(driver.NewConnector(dsn, dcfg)), dsn, opts)
 }
 
 var embeddedSeq atomic.Int64
