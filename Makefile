@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-par race-elastic fuzz crash tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
+.PHONY: all build vet test race race-par race-elastic fuzz crash flakes tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
 
 all: tier1
 
@@ -50,6 +50,20 @@ fuzz:
 # without a checkpointed page file underneath.
 crash:
 	$(GO) test -run 'TestCrash' -count=1 ./internal/pager
+
+# The schedule-sensitive tests, repeated: the Async delta-termination
+# run and the Async/AsyncP checkpoint resumes under GOMAXPROCS 1, 2 and 4,
+# and the crash-recovery matrix. Prints pass/fail/skip counts per test
+# (subtests included) and fails on any failure. Not in tier1 while
+# TestDeltaTerminationParallel/async is a known open flake (ROADMAP).
+flakes:
+	@log=$$(mktemp); status=0; \
+	$(GO) test -v -count=30 -cpu 1,2,4 -run 'TestDeltaTerminationParallel$$|TestCheckpointResumeAsync' ./internal/core >> $$log 2>&1 || status=1; \
+	$(GO) test -v -count=20 -run 'TestCrashRecoveryMatrix$$' . >> $$log 2>&1 || status=1; \
+	awk '$$1 == "---" { n[$$3]++; if ($$2 == "FAIL:") f[$$3]++; if ($$2 == "SKIP:") s[$$3]++ } \
+		END { for (k in n) printf "%-48s pass %3d  fail %3d  skip %3d\n", k, n[k] - f[k] - s[k], f[k], s[k] }' $$log | sort; \
+	if [ $$status -ne 0 ]; then grep -E '^\s*(--- FAIL|FAIL|panic:)|_test\.go:[0-9]+:' $$log | head -n 40; fi; \
+	rm -f $$log; exit $$status
 
 # The deleted pre-option-API shims and legacy per-DSN setters must stay
 # deleted everywhere, tests included. Doc files are exempt.

@@ -492,6 +492,11 @@ func (r *parallelRun) computeTask(ctx context.Context, x int, c *dbConn, gatherC
 		return 0, 0, err
 	}
 	if n > 0 {
+		// Index the routed part column (as mjoinStmts indexes src_id) so
+		// each destination's Gather reads its messages by lookup.
+		if _, err := c.runStmt(ctx, r.pl.msgIndexStmt(msgName)); err != nil {
+			return 0, 0, fmt.Errorf("compute(messages) pt%d: %w", x, err)
+		}
 		r.msgs.add(msgName, dests)
 		msgs = 1
 	} else if _, err := c.runStmt(ctx, dropTable(msgName)); err != nil {
@@ -504,9 +509,9 @@ func (r *parallelRun) computeTask(ctx context.Context, x int, c *dbConn, gatherC
 }
 
 // messageDestinations reports which partitions a message table holds
-// rows for, plus the row count.
+// rows for, plus how many distinct ones.
 func (r *parallelRun) messageDestinations(ctx context.Context, c *dbConn, msgName string) ([]bool, int, error) {
-	q := fmt.Sprintf("SELECT DISTINCT PARTHASH(id, %d) FROM %s", r.pl.p, msgName)
+	q := fmt.Sprintf("SELECT DISTINCT %s FROM %s", msgPartCol, msgName)
 	res, err := c.query(ctx, q)
 	if err != nil {
 		return nil, 0, err
@@ -689,6 +694,32 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	needsBarrier := r.term.term.Kind == sqlparser.TermExpr ||
 		(r.term.term.Kind == sqlparser.TermUpdates && r.term.term.N > 0)
 	checkPending := false
+	// A round boundary alone does not make a check sound: the slowest
+	// partition can advance twice while the partitions holding the
+	// pending change do not run at all (a starved worker's task
+	// finishing late, then a quick no-op round), and a condition over R
+	// would then read "no change" with the change still in Delta. So a
+	// due check (checkDue) waits until every partition that has work has
+	// completed a Compute since the previous check (computedSince).
+	checkDue := false
+	computedSince := make([]bool, r.pl.p)
+	hasWork := func(x int) bool {
+		if r.msgs.hasUnread(x) {
+			return true
+		}
+		if prio {
+			return r.hasPrio[x]
+		}
+		return !r.clean[x]
+	}
+	settled := func() bool {
+		for x, ok := range computedSince {
+			if !ok && hasWork(x) {
+				return false
+			}
+		}
+		return true
+	}
 	// Checkpoints reuse the same soft-barrier machinery: when a round
 	// crosses a checkpoint boundary, dispatch pauses, in-flight tasks
 	// drain, pending messages are delivered into the deltas, and the
@@ -889,7 +920,10 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		}
 		if checkPending && inflightCount == 0 {
 			// Soft barrier reached: deltas are stable, messages all
-			// delivered below before the condition runs.
+			// delivered below before the condition runs. A partition that
+			// accepted messages here has work again: unmark it clean, or
+			// the round-robin pick would skip it (it has nothing unread)
+			// and quiescence would end the run with its delta unabsorbed.
 			for x := 0; x < r.pl.p; x++ {
 				if r.msgs.hasUnread(x) {
 					ch, err := r.gatherTask(ctx, x, r.coord)
@@ -899,6 +933,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 					roundChanged += ch
 					if ch > 0 {
 						r.lastGather[x] += ch
+						r.clean[x] = false
 					}
 				}
 			}
@@ -908,6 +943,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			}
 			roundChanged = 0
 			checkPending = false
+			clear(computedSince)
 			if d {
 				done = true
 				break
@@ -985,6 +1021,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			r.lastGather[res.part] += res.changed
 		} else {
 			r.rounds[res.part]++
+			computedSince[res.part] = true
 		}
 		// The partition's round in progress: gather-only tasks run ahead
 		// of the round they feed.
@@ -1029,7 +1066,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			r.stats.Iterations = minRounds
 			r.rt.end(minRounds, roundChanged)
 			if needsBarrier {
-				checkPending = true
+				checkDue = true
 			} else {
 				d, err := r.checkAsyncTermination(ctx, minRounds, roundChanged)
 				if err != nil {
@@ -1053,12 +1090,20 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 				}
 			}
 		}
+		if checkDue && settled() {
+			checkDue = false
+			checkPending = true
+		}
 		// Quiescence may only be judged with no tasks in flight: an
 		// unprocessed result still carries priority/cleanliness updates.
 		// Iteration-bounded AsyncP runs end on their round bound instead:
 		// idle rounds complete them, so the round count and checkpoint
-		// cadence do not depend on the schedule.
-		if !done && inflightCount == 0 && !(prio && iterBounded) && r.quiescent(prio) {
+		// cadence do not depend on the schedule. A checkpoint that came
+		// due is taken first, even when the round that made it due also
+		// quiesced the run (a partition's first Compute can be the run's
+		// last act when its messages were gathered while it was still in
+		// flight); the loop then ends once nothing is schedulable.
+		if !done && !ckptPending && inflightCount == 0 && !(prio && iterBounded) && r.quiescent(prio) {
 			done = true
 		}
 		if done && inflightCount == 0 {

@@ -75,7 +75,7 @@ func (pl *plan) partitionStmts() []sqlparser.Statement {
 		stmts = append(stmts, createAnyTable(pl.partName(x), partCols, true))
 		sel := &sqlparser.Select{
 			From:  []sqlparser.TableExpr{tbl(pl.rQL)},
-			Where: eq(fn("PARTHASH", col("", pl.idCol), intLit(int64(pl.p))), intLit(int64(x))),
+			Where: eq(pl.partOf(col("", pl.idCol)), intLit(int64(x))),
 		}
 		for _, c := range pl.cols {
 			sel.Items = append(sel.Items, item(col("", c), ""))
@@ -276,7 +276,34 @@ func (pl *plan) messageStmt(x int, msgName string) sqlparser.Statement {
 	} else {
 		sel.Items = append(sel.Items, item(valExpr, "val"))
 	}
+	// Route each message to its destination partition as it is emitted,
+	// so a Gather reads only its own rows (by index lookup in-process).
+	sel.Items = append(sel.Items, item(pl.partOf(sqlparser.CloneExpr(dstExpr)), msgPartCol))
 	return &sqlparser.CreateTableStmt{Name: msgName, AsSelect: sel, Unlogged: true}
+}
+
+// msgPartCol is the message-table column holding each message's
+// destination partition, PARTHASH(id, p).
+const msgPartCol = "part"
+
+// partOf is the partition expression for an id.
+func (pl *plan) partOf(id sqlparser.Expr) sqlparser.Expr {
+	return fn("PARTHASH", id, intLit(int64(pl.p)))
+}
+
+// msgCols lists a message table's columns in order: destination id,
+// partial aggregate (plus AVG's count) and destination partition.
+func (pl *plan) msgCols() []string {
+	if pl.avg {
+		return []string{"id", "val", "cnt", msgPartCol}
+	}
+	return []string{"id", "val", msgPartCol}
+}
+
+// msgIndexStmt indexes a message table on its destination partition,
+// turning each Gather's read into a point lookup.
+func (pl *plan) msgIndexStmt(msgName string) sqlparser.Statement {
+	return &sqlparser.CreateIndexStmt{Name: msgName + "_part", Table: msgName, Columns: []string{msgPartCol}}
 }
 
 // resetStmt is phase three of a Compute task: reset the delta column to
@@ -301,18 +328,25 @@ func (pl *plan) resetStmt(x int) sqlparser.Statement {
 }
 
 // gatherStmt updates partition x's delta column from the listed message
-// tables (§V-C step two): one statement unioning every unread message
-// table, filtered to x's keys, grouped, then accumulated into the delta.
+// tables (§V-C step two): one statement unioning x's messages from every
+// unread message table (each branch a lookup on the routed part
+// column), grouped, then accumulated into the delta.
 func (pl *plan) gatherStmt(x int, msgTables []string) sqlparser.Statement {
 	union := make([]sqlparser.SelectBody, len(msgTables))
 	for i, m := range msgTables {
-		union[i] = selectStar(m)
+		sel := &sqlparser.Select{
+			From:  []sqlparser.TableExpr{tbl(m)},
+			Where: eq(col("", msgPartCol), intLit(int64(x))),
+		}
+		cols := pl.msgCols()
+		for _, c := range cols[:len(cols)-1] { // all but part
+			sel.Items = append(sel.Items, item(col("", c), c))
+		}
+		union[i] = sel
 	}
 	inner := &sqlparser.SubqueryTable{Body: unionAll(union), Alias: "allmsg"}
 	agg := &sqlparser.Select{
-		From: []sqlparser.TableExpr{inner},
-		Where: eq(fn("PARTHASH", col("allmsg", "id"), intLit(int64(pl.p))),
-			intLit(int64(x))),
+		From:    []sqlparser.TableExpr{inner},
 		GroupBy: []sqlparser.Expr{col("allmsg", "id")},
 		Items:   []sqlparser.SelectItem{item(col("allmsg", "id"), "id")},
 	}

@@ -1066,10 +1066,7 @@ func (r *shardedRun) exchange(ctx context.Context, round int, msgs []string) err
 	if !any {
 		return nil
 	}
-	msgCols := []string{"id", "val"}
-	if r.pl.avg {
-		msgCols = append(msgCols, "cnt")
-	}
+	msgCols := r.pl.msgCols()
 
 	// Phase one, parallel per source shard: read outbound rows, route by
 	// owner, encode each destination's batch for the wire.
@@ -1086,7 +1083,7 @@ func (r *shardedRun) exchange(ctx context.Context, round int, msgs []string) err
 		sel := &sqlparser.Select{
 			From: []sqlparser.TableExpr{tbl(name)},
 			Where: &sqlparser.ComparisonExpr{Op: sqltypes.CmpNE,
-				Left:  fn("PARTHASH", col("", "id"), intLit(int64(S))),
+				Left:  col("", msgPartCol),
 				Right: intLit(int64(s))},
 		}
 		for _, c := range msgCols {
@@ -1438,15 +1435,12 @@ func (r *shardedRun) maybeHandoff(ctx context.Context, cycle int, durs []time.Du
 	if best < 0 {
 		return nil
 	}
-	msgCols := []string{"id", "val"}
-	if r.pl.avg {
-		msgCols = append(msgCols, "cnt")
-	}
+	msgCols := r.pl.msgCols()
 	batches := make([]shard.Batch, 0, len(r.pending[worst]))
 	for _, name := range r.pending[worst] {
 		sel := &sqlparser.Select{
 			From:  []sqlparser.TableExpr{tbl(name)},
-			Where: eq(fn("PARTHASH", col("", "id"), intLit(int64(S))), intLit(int64(worst))),
+			Where: eq(col("", msgPartCol), intLit(int64(worst))),
 		}
 		for _, c := range msgCols {
 			sel.Items = append(sel.Items, item(col("", c), c))
@@ -1488,6 +1482,7 @@ func (r *shardedRun) maybeHandoff(ctx context.Context, cycle int, durs []time.Du
 	if r.pl.avg {
 		comb.Items = append(comb.Items, item(fn("SUM", col("", "cnt")), "cnt"))
 	}
+	comb.Items = append(comb.Items, item(intLit(int64(worst)), msgPartCol))
 	res, err := r.conns[best].runStmt(ctx, &sqlparser.SelectStmt{Body: comb})
 	if err != nil {
 		return fmt.Errorf("handoff combine on shard %d: %w", best, err)

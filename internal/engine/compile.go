@@ -91,7 +91,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		if f == nil {
 			return compiled{run: interpProg(e)}
 		}
-		off, err := f.resolve(t.Table, t.Name)
+		off, err := f.resolveRef(t)
 		if err != nil {
 			return compiled{run: interpProg(e)}
 		}

@@ -427,18 +427,37 @@ type Table struct {
 	indexes map[string]*hashIndex // by index name
 }
 
-// hashIndex maps a column value to the set of primary keys holding it.
+// hashIndex maps a column value to the primary keys holding it, kept in
+// insertion order so every read of a bucket (index lookup, index join)
+// returns rows in the same order on every execution. Removal tombstones
+// the entry and compacts the bucket once half of it is dead, so it is
+// O(1) amortised; slot, the position of each primary key in its bucket,
+// is built on the first removal (tables that are only ever appended to,
+// like message and materialized-join tables, never pay for it).
 type hashIndex struct {
 	name    string
 	col     int
-	buckets map[sqltypes.Key]map[sqltypes.Key]struct{}
+	buckets map[sqltypes.Key]*ixBucket
+	slot    map[sqltypes.Key]int // nil until the first removal
+}
+
+// ixBucket is one key's primary keys in insertion order; dead entries
+// are skipped by readers.
+type ixBucket struct {
+	ents []ixEntry
+	dead int
+}
+
+type ixEntry struct {
+	pk   sqltypes.Key
+	dead bool
 }
 
 func newHashIndex(name string, col int) *hashIndex {
 	return &hashIndex{
 		name:    name,
 		col:     col,
-		buckets: make(map[sqltypes.Key]map[sqltypes.Key]struct{}),
+		buckets: make(map[sqltypes.Key]*ixBucket),
 	}
 }
 
@@ -446,20 +465,67 @@ func (ix *hashIndex) add(pk sqltypes.Key, row sqltypes.Row) {
 	v := row[ix.col].MapKey()
 	b, ok := ix.buckets[v]
 	if !ok {
-		b = make(map[sqltypes.Key]struct{})
+		b = &ixBucket{}
 		ix.buckets[v] = b
 	}
-	b[pk] = struct{}{}
+	if ix.slot != nil {
+		ix.slot[pk] = len(b.ents)
+	}
+	b.ents = append(b.ents, ixEntry{pk: pk})
 }
 
 func (ix *hashIndex) remove(pk sqltypes.Key, row sqltypes.Row) {
 	v := row[ix.col].MapKey()
-	if b, ok := ix.buckets[v]; ok {
-		delete(b, pk)
-		if len(b) == 0 {
-			delete(ix.buckets, v)
+	b, ok := ix.buckets[v]
+	if !ok {
+		return
+	}
+	if ix.slot == nil {
+		ix.slot = make(map[sqltypes.Key]int)
+		for _, ob := range ix.buckets {
+			for i, e := range ob.ents {
+				if !e.dead {
+					ix.slot[e.pk] = i
+				}
+			}
 		}
 	}
+	i, ok := ix.slot[pk]
+	if !ok || i >= len(b.ents) || b.ents[i].dead {
+		return
+	}
+	delete(ix.slot, pk)
+	b.ents[i].dead = true
+	b.dead++
+	switch live := len(b.ents) - b.dead; {
+	case live == 0:
+		delete(ix.buckets, v)
+	case b.dead > live:
+		kept := b.ents[:0]
+		for _, e := range b.ents {
+			if !e.dead {
+				ix.slot[e.pk] = len(kept)
+				kept = append(kept, e)
+			}
+		}
+		clear(b.ents[len(kept):])
+		b.ents, b.dead = kept, 0
+	}
+}
+
+// clear empties the index (TRUNCATE).
+func (ix *hashIndex) clear() {
+	ix.buckets = make(map[sqltypes.Key]*ixBucket)
+	ix.slot = nil
+}
+
+// bucket returns the entries for key in insertion order; readers skip
+// the dead ones.
+func (ix *hashIndex) bucket(key sqltypes.Key) []ixEntry {
+	if b, ok := ix.buckets[key]; ok {
+		return b.ents
+	}
+	return nil
 }
 
 // lookupTable returns the table (case-insensitive) if it exists.
@@ -637,9 +703,8 @@ func (s *Session) rollback() {
 			}
 		case undoUpdate:
 			if row, ok := r.table.store.Get(r.key); ok {
-				r.table.removeFromIndexes(r.key, row)
 				r.table.store.Update(r.key, r.old)
-				r.table.addToIndexes(r.key, r.old)
+				r.table.reindex(r.key, row, r.old)
 			}
 		case undoDelete:
 			if _, ok := r.table.store.Get(r.key); !ok {
@@ -674,6 +739,17 @@ func (t *Table) addToIndexes(pk sqltypes.Key, row sqltypes.Row) {
 func (t *Table) removeFromIndexes(pk sqltypes.Key, row sqltypes.Row) {
 	for _, ix := range t.indexes {
 		ix.remove(pk, row)
+	}
+}
+
+// reindex moves an updated row between buckets of the indexes whose
+// column it changed; in the others it keeps its place.
+func (t *Table) reindex(pk sqltypes.Key, old, row sqltypes.Row) {
+	for _, ix := range t.indexes {
+		if old[ix.col].MapKey() != row[ix.col].MapKey() {
+			ix.remove(pk, old)
+			ix.add(pk, row)
+		}
 	}
 }
 

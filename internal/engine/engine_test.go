@@ -653,3 +653,89 @@ func TestRowsGroupedCountsGroupInput(t *testing.T) {
 		})
 	}
 }
+
+// TestDerivedTableRepeatedColumns: a derived table whose columns repeat
+// a name keeps each column's own values under SELECT *, and an outer
+// reference to the repeated name is ambiguous, qualified or not.
+func TestDerivedTableRepeatedColumns(t *testing.T) {
+	s := newTestSession(t)
+	mustExec(t, s, `CREATE TABLE a (id BIGINT, x BIGINT)`)
+	mustExec(t, s, `CREATE TABLE b (id BIGINT, y BIGINT)`)
+	mustExec(t, s, `INSERT INTO a VALUES (1, 10)`)
+	mustExec(t, s, `INSERT INTO b VALUES (2, 20)`)
+	const d = `(SELECT * FROM a JOIN b ON a.x < b.y) AS d`
+	res := mustExec(t, s, `SELECT * FROM `+d)
+	if got := strings.Join(res.Columns, ","); got != "id,x,id,y" {
+		t.Errorf("columns = %s, want id,x,id,y", got)
+	}
+	if len(res.Rows) != 1 || renderRow(res.Rows[0]) != "1 10 2 20" {
+		t.Errorf("SELECT * = %v, want [1 10 2 20]", res.Rows)
+	}
+	res = mustExec(t, s, `SELECT d.* FROM `+d)
+	if len(res.Rows) != 1 || renderRow(res.Rows[0]) != "1 10 2 20" {
+		t.Errorf("SELECT d.* = %v, want [1 10 2 20]", res.Rows)
+	}
+	res = mustExec(t, s, `SELECT d.x, y FROM `+d)
+	if len(res.Rows) != 1 || renderRow(res.Rows[0]) != "10 20" {
+		t.Errorf("SELECT d.x, y = %v, want [10 20]", res.Rows)
+	}
+	for _, q := range []string{
+		`SELECT d.id FROM ` + d,
+		`SELECT id FROM ` + d,
+		`SELECT x FROM ` + d + ` WHERE d.id > 1`,
+		`SELECT x FROM ` + d + ` ORDER BY d.id`,
+	} {
+		_, err := s.Exec(q)
+		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
+			t.Errorf("%s: err = %v, want an ambiguous-column error", q, err)
+		}
+	}
+}
+
+// renderRow formats a row's values separated by spaces.
+func renderRow(r sqltypes.Row) string {
+	parts := make([]string, len(r))
+	for i, v := range r {
+		parts[i] = v.String()
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestNoopUpdateAllocatesNothingPerRow: an UPDATE whose SET changes no
+// value reports 0 changed rows and allocates the same whether the table
+// holds 1k or 4k rows (the stored row is cloned only when a value
+// differs).
+func TestNoopUpdateAllocatesNothingPerRow(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := newTestSession(t)
+		mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v DOUBLE, w BIGINT)`)
+		for i := 0; i < n; i++ {
+			mustExec(t, s, `INSERT INTO t VALUES (?, 1.5, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i)))
+		}
+		const q = `UPDATE t SET v = v * 1.0, w = w`
+		if res := mustExec(t, s, q); res.RowsAffected != 0 {
+			t.Fatalf("no-op UPDATE changed %d rows", res.RowsAffected)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if res, err := s.Exec(q); err != nil || res.RowsAffected != 0 {
+				t.Fatalf("no-op UPDATE: %v, %v", res, err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	if large-small > 50 {
+		t.Errorf("no-op UPDATE allocs grew from %.0f (1k rows) to %.0f (4k rows); want O(1) per row", small, large)
+	}
+	// A changing UPDATE still counts and stores every changed row.
+	s := newTestSession(t)
+	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT, w BIGINT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 1, 5), (2, 2, 5), (3, 3, 5)`)
+	if res := mustExec(t, s, `UPDATE t SET w = 5, v = v * 2 - 1`); res.RowsAffected != 2 {
+		t.Errorf("UPDATE changed %d rows, want 2", res.RowsAffected)
+	}
+	res := mustExec(t, s, `SELECT v, w FROM t ORDER BY id`)
+	got := []string{renderRow(res.Rows[0]), renderRow(res.Rows[1]), renderRow(res.Rows[2])}
+	if strings.Join(got, "|") != "1 5|3 5|5 5" {
+		t.Errorf("after UPDATE rows = %v", got)
+	}
+}

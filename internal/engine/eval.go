@@ -71,20 +71,43 @@ func concatFrames(a, b *frame) *frame {
 	return out
 }
 
-// resolve locates a column reference within the frame, returning its
-// absolute offset.
+// resolveRef locates a column reference within the frame, returning its
+// absolute offset. A positional reference (Ord, from star expansion)
+// picks its column directly.
+func (f *frame) resolveRef(cr *sqlparser.ColumnRef) (int, error) {
+	if cr.Ord > 0 {
+		for _, r := range f.rels {
+			if strings.EqualFold(r.name, cr.Table) && cr.Ord <= len(r.cols) &&
+				strings.EqualFold(r.cols[cr.Ord-1], cr.Name) {
+				return r.off + cr.Ord - 1, nil
+			}
+		}
+	}
+	return f.resolve(cr.Table, cr.Name)
+}
+
+// resolve locates a column by name within the frame, returning its
+// absolute offset. A name that matches more than one column (of the
+// named relation, when qualified) is ambiguous.
 func (f *frame) resolve(table, col string) (int, error) {
 	if table != "" {
 		for _, r := range f.rels {
 			if !strings.EqualFold(r.name, table) {
 				continue
 			}
+			found := -1
 			for i, c := range r.cols {
 				if strings.EqualFold(c, col) {
-					return r.off + i, nil
+					if found >= 0 {
+						return -1, fmt.Errorf("engine: column reference %q is ambiguous", table+"."+col)
+					}
+					found = r.off + i
 				}
 			}
-			return -1, &ErrColumnNotFound{Name: table + "." + col}
+			if found < 0 {
+				return -1, &ErrColumnNotFound{Name: table + "." + col}
+			}
+			return found, nil
 		}
 		return -1, &ErrColumnNotFound{Name: table + "." + col}
 	}
@@ -106,8 +129,8 @@ func (f *frame) resolve(table, col string) (int, error) {
 }
 
 // hasColumn reports whether the frame can resolve the reference.
-func (f *frame) hasColumn(table, col string) bool {
-	_, err := f.resolve(table, col)
+func (f *frame) hasColumn(cr *sqlparser.ColumnRef) bool {
+	_, err := f.resolveRef(cr)
 	return err == nil
 }
 
@@ -137,7 +160,7 @@ func (env *evalEnv) evalExpr(e sqlparser.Expr) (sqltypes.Value, error) {
 		if env.frame == nil {
 			return sqltypes.Null, &ErrColumnNotFound{Name: t.Name}
 		}
-		off, err := env.frame.resolve(t.Table, t.Name)
+		off, err := env.frame.resolveRef(t)
 		if err != nil {
 			return sqltypes.Null, err
 		}
@@ -624,7 +647,7 @@ func (x *executor) validateExpr(e sqlparser.Expr, f *frame, outCols []string) er
 		}
 		switch t := sub.(type) {
 		case *sqlparser.ColumnRef:
-			if f.hasColumn(t.Table, t.Name) {
+			if f.hasColumn(t) {
 				return true
 			}
 			if t.Table == "" {
@@ -635,7 +658,7 @@ func (x *executor) validateExpr(e sqlparser.Expr, f *frame, outCols []string) er
 				}
 			}
 			// Report ambiguity as its own error.
-			if _, err := f.resolve(t.Table, t.Name); err != nil {
+			if _, err := f.resolveRef(t); err != nil {
 				innerErr = err
 			}
 			return true

@@ -235,7 +235,7 @@ func (x *executor) runTruncate(s *sqlparser.TruncateStmt) (*Result, error) {
 	n := int64(tbl.store.Len())
 	tbl.store.Clear()
 	for _, ix := range tbl.indexes {
-		ix.buckets = make(map[sqltypes.Key]map[sqltypes.Key]struct{})
+		ix.clear()
 	}
 	x.work.written += n
 	x.eng.stats.RowsDeleted.Add(n)
@@ -373,6 +373,7 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 		new sqltypes.Row
 	}
 	var changes []change
+	vals := make([]sqltypes.Value, len(s.Sets))
 
 	if from == nil {
 		env := &evalEnv{frame: targetFrame, x: x}
@@ -393,7 +394,7 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 					return true
 				}
 			}
-			newRow, changed, e := applySets(tbl, s.Sets, setCols, setProgs, env, row)
+			newRow, changed, e := applySets(tbl, s.Sets, setCols, setProgs, env, row, vals)
 			if e != nil {
 				err = e
 				return false
@@ -508,7 +509,7 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 						continue
 					}
 				}
-				newRow, changed, e := applySets(tbl, s.Sets, setCols, setProgs, env, row)
+				newRow, changed, e := applySets(tbl, s.Sets, setCols, setProgs, env, row, vals)
 				if e != nil {
 					err = e
 					return false
@@ -528,9 +529,8 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 	}
 
 	for _, c := range changes {
-		tbl.removeFromIndexes(c.key, c.old)
 		tbl.store.Update(c.key, c.new)
-		tbl.addToIndexes(c.key, c.new)
+		tbl.reindex(c.key, c.old, c.new)
 		x.sess.record(undoRec{kind: undoUpdate, table: tbl, key: c.key, old: c.old})
 	}
 	n := int64(len(changes))
@@ -551,10 +551,13 @@ func (x *executor) setProgs(sets []sqlparser.Assignment, f *frame) []program {
 
 // applySets computes the updated row; changed reports whether any value
 // differs from the original (MySQL-style changed-rows counting, which
-// SQLoop's UNTIL n UPDATES termination relies on).
-func applySets(tbl *Table, sets []sqlparser.Assignment, setCols []int, setProgs []program, env *evalEnv, row sqltypes.Row) (sqltypes.Row, bool, error) {
-	newRow := row.Clone()
-	changed := false
+// SQLoop's UNTIL n UPDATES termination relies on). The stored row is
+// never written: it is cloned on the first differing value, so a SET
+// that changes nothing allocates nothing and returns a nil row. vals is
+// scratch space of len(sets) holding the values assigned so far, replayed
+// into the clone.
+func applySets(tbl *Table, sets []sqlparser.Assignment, setCols []int, setProgs []program, env *evalEnv, row sqltypes.Row, vals []sqltypes.Value) (sqltypes.Row, bool, error) {
+	var newRow sqltypes.Row
 	for i, a := range sets {
 		v, err := setProgs[i](env)
 		if err != nil {
@@ -565,16 +568,25 @@ func applySets(tbl *Table, sets []sqlparser.Assignment, setCols []int, setProgs 
 		if err != nil {
 			return nil, false, fmt.Errorf("column %s: %w", a.Column, err)
 		}
-		if !valuesEqual(newRow[ci], v) {
-			changed = true
+		vals[i] = v
+		switch {
+		case newRow != nil:
+			newRow[ci] = v
+		case !valuesEqual(row[ci], v):
+			newRow = row.Clone()
+			for k := 0; k <= i; k++ {
+				newRow[setCols[k]] = vals[k]
+			}
 		}
-		newRow[ci] = v
+	}
+	if newRow == nil {
+		return nil, false, nil
 	}
 	if tbl.pkCol >= 0 && !valuesEqual(newRow[tbl.pkCol], row[tbl.pkCol]) {
 		return nil, false, fmt.Errorf("engine: updating primary key column %s is not supported",
 			tbl.schema.Columns[tbl.pkCol].Name)
 	}
-	return newRow, changed, nil
+	return newRow, true, nil
 }
 
 // valuesEqual compares values treating NULLs as equal (for change

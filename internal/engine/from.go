@@ -155,8 +155,11 @@ func (x *executor) indexLookup(tbl *Table, alias string, where sqlparser.Expr) (
 			continue
 		}
 		var rows []sqltypes.Row
-		for pk := range ix.buckets[val.MapKey()] {
-			if row, found := tbl.store.Get(pk); found {
+		for _, e := range ix.bucket(val.MapKey()) {
+			if e.dead {
+				continue
+			}
+			if row, found := tbl.store.Get(e.pk); found {
 				rows = append(rows, row)
 			}
 		}
@@ -732,8 +735,8 @@ func exprSide(e sqlparser.Expr, lf, rf *frame) side {
 		if !ok {
 			return true
 		}
-		inL := lf.hasColumn(cr.Table, cr.Name)
-		inR := rf.hasColumn(cr.Table, cr.Name)
+		inL := lf.hasColumn(cr)
+		inR := rf.hasColumn(cr)
 		var s side
 		switch {
 		case inL && inR:
@@ -1020,6 +1023,7 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 	cenv := &evalEnv{frame: outFrame, x: x}
 	combined := make(sqltypes.Row, outFrame.width)
 	joined := int64(0)
+	var pkEnt [1]ixEntry
 
 	for _, ra := range left.rows {
 		lenv.row = ra
@@ -1029,19 +1033,22 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 		}
 		matched := false
 		if !kv.IsNull() {
-			var candidates []sqltypes.Row
+			// The primary key is a one-entry bucket; an index bucket is
+			// walked in insertion order.
+			ents := pkEnt[:]
 			if ix == nil {
-				if row, found := tbl.store.Get(kv.MapKey()); found {
-					candidates = []sqltypes.Row{row}
-				}
+				pkEnt[0].pk = kv.MapKey()
 			} else {
-				for pk := range ix.buckets[kv.MapKey()] {
-					if row, found := tbl.store.Get(pk); found {
-						candidates = append(candidates, row)
-					}
-				}
+				ents = ix.bucket(kv.MapKey())
 			}
-			for _, rb := range candidates {
+			for _, e := range ents {
+				if e.dead {
+					continue
+				}
+				rb, found := tbl.store.Get(e.pk)
+				if !found {
+					continue
+				}
 				if rightProg != nil {
 					// A raising predicate keeps the row, as in pushFilter.
 					renv.row = rb

@@ -81,8 +81,8 @@ var pdQualifier = regexp.MustCompile(`\b[abc]\.`)
 
 // pushdownPair renders a case in both forms: the WHERE over the join,
 // and over the join wrapped in a derived table. cols lists the output
-// columns, leaving out id (a derived table with two id columns would
-// resolve both to the first).
+// columns, leaving out id (a derived table with two id columns makes
+// an outer id ambiguous).
 func pushdownPair(from, cols, where string) (joined, wrapped string) {
 	joined = fmt.Sprintf("SELECT %s FROM %s WHERE %s ORDER BY %s", cols, from, where, cols)
 	cols = pdQualifier.ReplaceAllString(cols, "")

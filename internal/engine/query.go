@@ -627,10 +627,12 @@ func expandStars(items []sqlparser.SelectItem, f *frame) ([]sqlparser.SelectItem
 				continue
 			}
 			matched = true
-			for _, c := range r.cols {
-				out = append(out, sqlparser.SelectItem{
-					Expr: &sqlparser.ColumnRef{Table: r.name, Name: c},
-				})
+			for i, c := range r.cols {
+				ref := &sqlparser.ColumnRef{Table: r.name, Name: c}
+				if repeatsName(r.cols, c) {
+					ref.Ord = i + 1
+				}
+				out = append(out, sqlparser.SelectItem{Expr: ref})
 			}
 		}
 		if !matched && it.Table != "" {
@@ -638,6 +640,17 @@ func expandStars(items []sqlparser.SelectItem, f *frame) ([]sqlparser.SelectItem
 		}
 	}
 	return out, nil
+}
+
+// repeatsName reports whether name occurs more than once in cols.
+func repeatsName(cols []string, name string) bool {
+	n := 0
+	for _, c := range cols {
+		if strings.EqualFold(c, name) {
+			n++
+		}
+	}
+	return n > 1
 }
 
 // outputColumns names the result columns.

@@ -132,7 +132,7 @@ func (c *vcomp) compile(e sqlparser.Expr) vnode {
 		if c.f == nil {
 			return c.adapter(e)
 		}
-		off, err := c.f.resolve(t.Table, t.Name)
+		off, err := c.f.resolveRef(t)
 		if err != nil {
 			// Static resolution failure: the adapter's interpreter
 			// program re-raises the error per batch, and the executor's

@@ -117,6 +117,11 @@ func (*JoinExpr) tableExpr()      {}
 type ColumnRef struct {
 	Table string // optional qualifier
 	Name  string
+	// Ord, when > 0, is the column's 1-based position within relation
+	// Table. The parser never sets it; star expansion does, for a
+	// relation that repeats a column name, so that each expanded column
+	// reads its own values.
+	Ord int
 }
 
 // Literal is a constant value.
