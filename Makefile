@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race race-par race-elastic fuzz crash flakes tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
+.PHONY: all build vet fmt test race race-par race-elastic fuzz crash flakes tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
 
 all: tier1
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -34,7 +39,7 @@ race-par:
 # membership race.
 race-elastic:
 	$(GO) test -race -cpu 1,2,4 -run 'TestElastic|TestRouterElasticRace' -count=1 .
-	$(GO) test -race -cpu 1,2,4 -run 'TestShardedRebalance|TestShardedRepartition|TestShardedHandoff|TestShardedMalformedGroupSnapshot|TestElasticGroupValidation' -count=1 ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'TestShardedRebalance|TestShardedRepartition|TestShardedMalformedGroupSnapshot|TestElasticGroupValidation' -count=1 ./internal/core
 
 # The snapshot codec must reject arbitrary corruption without panicking,
 # the shard router must stay bit-compatible with the engine's PARTHASH
@@ -52,27 +57,30 @@ crash:
 	$(GO) test -run 'TestCrash' -count=1 ./internal/pager
 
 # The schedule-sensitive tests, repeated: the Async delta-termination
-# run and the Async/AsyncP checkpoint resumes under GOMAXPROCS 1, 2 and 4,
-# and the crash-recovery matrix. Prints pass/fail/skip counts per test
-# (subtests included) and fails on any failure. Not in tier1 while
-# TestDeltaTerminationParallel/async is a known open flake (ROADMAP).
+# run, the Async/AsyncP checkpoint resumes, the iteration-bounded AsyncP
+# checkpointing run on two shards and the 2-shard Async checkpoint
+# resume under GOMAXPROCS 1, 2 and 4, and the crash-recovery matrix.
+# Prints pass/fail/skip counts per test (subtests included) and fails on
+# any failure. Not in tier1: the repeats take minutes.
 flakes:
 	@log=$$(mktemp); status=0; \
 	$(GO) test -v -count=30 -cpu 1,2,4 -run 'TestDeltaTerminationParallel$$|TestCheckpointResumeAsync' ./internal/core >> $$log 2>&1 || status=1; \
+	$(GO) test -v -count=30 -cpu 1,2,4 -run 'TestShardedAsyncPIterationsCheckpoint$$|TestShardedCheckpointResume$$/^async$$/^2shards$$' ./internal/core >> $$log 2>&1 || status=1; \
 	$(GO) test -v -count=20 -run 'TestCrashRecoveryMatrix$$' . >> $$log 2>&1 || status=1; \
 	awk '$$1 == "---" { n[$$3]++; if ($$2 == "FAIL:") f[$$3]++; if ($$2 == "SKIP:") s[$$3]++ } \
 		END { for (k in n) printf "%-48s pass %3d  fail %3d  skip %3d\n", k, n[k] - f[k] - s[k], f[k], s[k] }' $$log | sort; \
 	if [ $$status -ne 0 ]; then grep -E '^\s*(--- FAIL|FAIL|panic:)|_test\.go:[0-9]+:' $$log | head -n 40; fi; \
 	rm -f $$log; exit $$status
 
-# The deleted pre-option-API shims and legacy per-DSN setters must stay
-# deleted everywhere, tests included. Doc files are exempt.
+# The deleted pre-option-API shims, legacy per-DSN setters and the
+# AsyncP straggler handoff (its event and option field) must stay deleted
+# everywhere, tests included. Doc files are exempt.
 check-deprecated: vet
-	@! grep -rn --include='*.go' -E 'OpenEmbeddedWithCost|ServeWithCost|SetDSNMetrics|SetDSNRetry|SetDSNWireVersion' . \
+	@! grep -rn --include='*.go' -E 'OpenEmbeddedWithCost|ServeWithCost|SetDSNMetrics|SetDSNRetry|SetDSNWireVersion|ShardHandoff|Handoff:' . \
 		|| { echo 'deleted deprecated symbol referenced'; exit 1; }
 
 # Tier-1 verification (ROADMAP.md): everything must stay green.
-tier1: build vet test race race-par race-elastic crash check-deprecated
+tier1: build vet fmt test race race-par race-elastic crash check-deprecated
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

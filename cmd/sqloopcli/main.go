@@ -37,7 +37,6 @@ func run() error {
 		shards    = flag.Int("shards", 1, "embedded engine endpoints; >1 runs iterative CTEs scale-out across a shard group")
 		replicas  = flag.Int("replicas", 0, "standby replica endpoints for the shard group (failover + rebalance headroom)")
 		rebalance = flag.String("rebalance", "", "scheduled online repartitions, 'afterRound:shards[,afterRound:shards...]' (e.g. '3:4' grows 2 shards to 4 after round 3)")
-		handoff   = flag.Bool("handoff", false, "asyncp shard groups: enable straggler work handoff")
 		parts     = flag.Int("partitions", 0, "hash partitions (0: 256)")
 		prio      = flag.String("priority", "", "AsyncP priority query ($PART placeholder)")
 		exec      = flag.String("e", "", "SQL to execute")
@@ -73,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	gopts := sqloop.ShardGroupOptions{Rebalance: steps, Handoff: *handoff}
+	gopts := sqloop.ShardGroupOptions{Rebalance: steps}
 
 	var db *sqloop.SQLoop
 	var group *sqloop.ShardGroup
@@ -99,8 +98,8 @@ func run() error {
 				db = group.Shard(0)
 			}
 		} else {
-			if *replicas > 0 || len(steps) > 0 || *handoff {
-				return fmt.Errorf("-replicas/-rebalance/-handoff need a shard group; set -shards > 1")
+			if *replicas > 0 || len(steps) > 0 {
+				return fmt.Errorf("-replicas/-rebalance need a shard group; set -shards > 1")
 			}
 			db, err = sqloop.OpenEmbedded(*profile, opts, extra...)
 		}
@@ -206,9 +205,9 @@ func run() error {
 		if res.Stats.ShardCount > 1 {
 			fmt.Printf(", %d shards (%d rows exchanged)", res.Stats.ShardCount, res.Stats.CrossShardRows)
 		}
-		if res.Stats.Failovers > 0 || res.Stats.Rebalances > 0 || res.Stats.Handoffs > 0 {
-			fmt.Printf(", elastic: %d failovers, %d rebalances, %d handoffs",
-				res.Stats.Failovers, res.Stats.Rebalances, res.Stats.Handoffs)
+		if res.Stats.Failovers > 0 || res.Stats.Rebalances > 0 {
+			fmt.Printf(", elastic: %d failovers, %d rebalances",
+				res.Stats.Failovers, res.Stats.Rebalances)
 		}
 		if res.Stats.FallbackReason != "" {
 			fmt.Printf(" (fell back to single-threaded: %s)", res.Stats.FallbackReason)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -272,10 +273,6 @@ type ExecStats struct {
 	// Rebalances counts online repartitions (shard-count changes between
 	// rounds) during this Exec call (elastic shard groups only).
 	Rebalances int
-	// Handoffs counts straggler work handoffs: AsyncP cycles in which
-	// the slowest shard's pending delta queue was pre-combined on a
-	// helper shard (elastic shard groups with Handoff enabled only).
-	Handoffs int
 }
 
 // RoundStats is the trace of one completed round/iteration.
@@ -579,12 +576,23 @@ func (s *SQLoop) newConn(conn *sql.Conn) *dbConn {
 const dbConnStmtCacheSize = 128
 
 // stmtLRU is a bounded, single-goroutine LRU of prepared statements
-// keyed by rendered statement text. Eviction closes the statement.
+// keyed by rendered statement text. Eviction closes the statement. A
+// text is prepared only when it comes back: most of a round's
+// statements name that round's own message tables and run once, and
+// preparing one would cost a prepare and a release on top of its single
+// execution (three round trips over the wire instead of one).
 type stmtLRU struct {
 	max int
 	lru *list.List // of *stmtLRUEntry, front = most recent
 	m   map[string]*list.Element
+	// seen holds hashes of texts executed once without being prepared,
+	// the last few max of them (seenLog keeps their order).
+	seen    map[uint64]bool
+	seenLog []uint64
 }
+
+// seenSeed hashes statement texts for stmtLRU.seen.
+var seenSeed = maphash.MakeSeed()
 
 type stmtLRUEntry struct {
 	text string
@@ -592,7 +600,24 @@ type stmtLRUEntry struct {
 }
 
 func newStmtLRU(max int) *stmtLRU {
-	return &stmtLRU{max: max, lru: list.New(), m: make(map[string]*list.Element)}
+	return &stmtLRU{max: max, lru: list.New(), m: make(map[string]*list.Element),
+		seen: make(map[uint64]bool)}
+}
+
+// again reports whether text ran before on this connection (and so is
+// worth preparing), remembering it otherwise.
+func (l *stmtLRU) again(text string) bool {
+	h := maphash.String(seenSeed, text)
+	if l.seen[h] {
+		delete(l.seen, h)
+		return true
+	}
+	l.seen[h] = true
+	if l.seenLog = append(l.seenLog, h); len(l.seenLog) > 4*l.max {
+		delete(l.seen, l.seenLog[0])
+		l.seenLog = l.seenLog[1:]
+	}
+	return false
 }
 
 func (l *stmtLRU) get(text string) *sql.Stmt {
@@ -621,12 +646,14 @@ func (l *stmtLRU) closeAll() {
 	}
 	l.lru.Init()
 	l.m = make(map[string]*list.Element)
+	l.seen, l.seenLog = make(map[uint64]bool), nil
 }
 
 // preparedFor returns a cached prepared statement for text, preparing
-// and caching on first use. A nil return means "use the direct text
-// path" — caching disabled, or the engine refused to prepare (the
-// direct execution will then surface the real error or just work).
+// and caching it on its second use. A nil return means "use the direct
+// text path" — caching disabled, a text's first use, or the engine
+// refused to prepare (the direct execution will then surface the real
+// error or just work).
 func (c *dbConn) preparedFor(ctx context.Context, text string) *sql.Stmt {
 	if c.stmts == nil {
 		return nil
@@ -639,6 +666,9 @@ func (c *dbConn) preparedFor(ctx context.Context, text string) *sql.Stmt {
 	}
 	if c.cacheMisses != nil {
 		c.cacheMisses.Inc()
+	}
+	if !c.stmts.again(text) {
+		return nil
 	}
 	st, err := c.conn.PrepareContext(ctx, text)
 	if err != nil {

@@ -87,3 +87,51 @@ func TestIterativeRunHitsStmtCache(t *testing.T) {
 		t.Fatalf("iterative run produced no statement-cache hits: %+v", st)
 	}
 }
+
+// TestConnPreparesOnSecondUse pins the connection-level statement
+// cache: a text's first execution goes direct, its second prepares and
+// caches it, and later ones reuse the handle; the set of texts seen
+// once stays bounded.
+func TestConnPreparesOnSecondUse(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	handle := t.Name()
+	driver.RegisterEngine(handle, eng)
+	t.Cleanup(func() { driver.UnregisterEngine(handle) })
+	s, err := Open(driver.DriverName, driver.InprocDSN(handle), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	ctx := context.Background()
+	conn, err := s.db.Conn(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := s.newConn(conn)
+	defer c.closeStmts()
+	for i := 0; i < 3; i++ {
+		if _, err := c.query(ctx, "SELECT 1"); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.stmts.lru.Len(), min(i, 1); got != want {
+			t.Fatalf("after run %d: %d prepared statements, want %d", i+1, got, want)
+		}
+	}
+	snap := s.Metrics().Snapshot()
+	if hits, misses := snap.Counters["sqloop_conn_stmt_cache_hits"], snap.Counters["sqloop_conn_stmt_cache_misses"]; hits != 1 || misses != 2 {
+		t.Errorf("conn cache hits/misses = %d/%d, want 1/2", hits, misses)
+	}
+
+	for i := 0; i < 10*dbConnStmtCacheSize; i++ {
+		if _, err := c.query(ctx, fmt.Sprintf("SELECT %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.stmts.seen); n > 4*dbConnStmtCacheSize || len(c.stmts.seenLog) > 4*dbConnStmtCacheSize {
+		t.Errorf("remembers %d texts seen once, bound %d", n, 4*dbConnStmtCacheSize)
+	}
+	if n := c.stmts.lru.Len(); n != 1 {
+		t.Errorf("%d prepared statements after one-shot texts, want 1", n)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"sqloop/internal/ckpt"
 	"sqloop/internal/obs"
 	"sqloop/internal/sqlparser"
-	"sqloop/internal/sqltypes"
 )
 
 // This file connects the executors to internal/ckpt. All snapshot I/O
@@ -116,21 +115,25 @@ func (r *ckptRun) due(round int) bool {
 // restoring reports whether this run starts from a snapshot.
 func (r *ckptRun) restoring() bool { return r != nil && r.resumed != nil }
 
-// save reads the named tables through SQL and writes one snapshot.
-func (r *ckptRun) save(ctx context.Context, c *dbConn, round, partitions int, partRounds []int, cols, tables []string) error {
+// save writes one snapshot of the named tables, reading tables[i] on
+// conn(i) (a shard group's partitions live on different engines). A
+// parallel run passes each partition's completed-round counter and its
+// group's topology epoch.
+func (r *ckptRun) save(ctx context.Context, conn func(i int) *dbConn, round int, partRounds []int, epoch int64, cols, tables []string) error {
 	if r == nil {
 		return nil
 	}
 	start := time.Now()
 	snap := &ckpt.Snapshot{
 		Key: r.key, Query: r.query, Mode: r.mode, Engine: r.s.dsn,
-		CTE: r.cteName, Token: r.token, Round: round, Partitions: partitions,
+		CTE: r.cteName, Token: r.token, Round: round, Partitions: len(partRounds),
+		Epoch:      epoch,
 		PartRounds: append([]int(nil), partRounds...),
 		Columns:    append([]string(nil), cols...),
 		CreatedAt:  time.Now().UTC(),
 	}
-	for _, t := range tables {
-		ts, err := r.readTable(ctx, c, t)
+	for i, t := range tables {
+		ts, err := r.readTable(ctx, conn(i), t)
 		if err != nil {
 			return err
 		}
@@ -184,28 +187,19 @@ func (r *ckptRun) restoreTable(ctx context.Context, c *dbConn, ts ckpt.TableStat
 	if _, err := c.runStmt(ctx, createAnyTable(ts.Name, ts.Columns, pk)); err != nil {
 		return err
 	}
-	const batch = 500
-	for lo := 0; lo < len(ts.Rows); lo += batch {
-		hi := min(lo+batch, len(ts.Rows))
-		vals := &sqlparser.Values{Rows: make([][]sqlparser.Expr, 0, hi-lo)}
-		for _, row := range ts.Rows[lo:hi] {
-			exprs := make([]sqlparser.Expr, len(row))
-			for j, v := range row {
-				gv, err := v.Decode()
-				if err != nil {
-					return fmt.Errorf("restore %s: %w", ts.Name, err)
-				}
-				sv, err := sqltypes.FromGo(gv)
-				if err != nil {
-					return fmt.Errorf("restore %s: %w", ts.Name, err)
-				}
-				exprs[j] = litVal(sv)
+	rows := make([][]any, len(ts.Rows))
+	for i, row := range ts.Rows {
+		rows[i] = make([]any, len(row))
+		for j, v := range row {
+			gv, err := v.Decode()
+			if err != nil {
+				return fmt.Errorf("restore %s: %w", ts.Name, err)
 			}
-			vals.Rows = append(vals.Rows, exprs)
+			rows[i][j] = gv
 		}
-		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: ts.Name, Source: vals}); err != nil {
-			return fmt.Errorf("restore %s: %w", ts.Name, err)
-		}
+	}
+	if err := insertRows(ctx, c, ts.Name, rows); err != nil {
+		return fmt.Errorf("restore %s: %w", ts.Name, err)
 	}
 	return nil
 }

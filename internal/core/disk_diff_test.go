@@ -48,8 +48,11 @@ func TestDiskDifferential(t *testing.T) {
 	}
 	modes := []Mode{ModeSingle, ModeSync, ModeAsync, ModeAsyncPrio}
 	ctx := context.Background()
+	// Every cell has its own engine and data directory, so the cells run
+	// in parallel.
 	for name, query := range queries {
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			ref := newDiffInstance(t, engine.Config{}, Options{Mode: ModeSingle})
 			want, err := ref.Exec(ctx, query)
 			if err != nil {
@@ -57,6 +60,7 @@ func TestDiskDifferential(t *testing.T) {
 			}
 			for _, mode := range modes {
 				t.Run(mode.String(), func(t *testing.T) {
+					t.Parallel()
 					cfg := engine.Config{
 						Backend:         storage.KindDisk,
 						DataDir:         t.TempDir(),

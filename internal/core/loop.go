@@ -164,7 +164,7 @@ func (s *SQLoop) execRecursive(ctx context.Context, cte *sqlparser.LoopCTEStmt) 
 			return nil, err
 		}
 		if ck.due(iters) {
-			if err := ck.save(ctx, c, iters, 0, nil, cols, []string{rName, workName}); err != nil {
+			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName, workName}); err != nil {
 				return nil, err
 			}
 		}
@@ -429,7 +429,7 @@ func (s *SQLoop) execIterativeSingle(ctx context.Context, cte *sqlparser.LoopCTE
 			break
 		}
 		if ck.due(iters) {
-			if err := ck.save(ctx, c, iters, 0, nil, cols, []string{rName}); err != nil {
+			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName}); err != nil {
 				return nil, err
 			}
 		}

@@ -1,5 +1,22 @@
 package core
 
+// The partitioned Compute/Gather executor (§V-B..§V-E) and its round
+// scheduler. One scheduler runs the three schedules — Sync, Async and
+// AsyncP — over partitions that live in one of two placements:
+//
+//   - in-process: every partition table sits in one engine; a task runs
+//     on any of the Threads worker connections, and a message table is a
+//     shared table that each destination's gather reads by index lookup;
+//   - a shard group: partition s is the one partition shard s owns, and
+//     its tasks run on shard s's pinned connection (one worker per
+//     shard). A compute reads the rows other shards own out of its
+//     message table, routes and encodes them (shard.Route/EncodeBatch),
+//     and each destination's next gather turns them into a receive
+//     table on its own connection.
+//
+// Everything else — dispatch, priorities, termination, checkpoints,
+// rebalances — is placement-blind.
+
 import (
 	"context"
 	"fmt"
@@ -10,160 +27,114 @@ import (
 	"time"
 
 	"sqloop/internal/obs"
+	"sqloop/internal/shard"
 	"sqloop/internal/sqlparser"
+	"sqloop/internal/sqltypes"
 )
 
-// msgRegistry tracks message tables (§V-C): which partitions have
-// consumed which tables, and when a table may be dropped. It is the
-// "global data-structure that is visible across all SQLoop threads" of
-// the paper.
-type msgRegistry struct {
-	mu       sync.Mutex
-	seq      int64
-	entries  []*msgEntry
-	consumed []int64 // per partition: highest seq consumed
-	p        int
+// msgTable is one message table a Compute task created (§V-C). Every
+// partition it holds rows for keeps it in its inbox; readers counts the
+// reads still owed, and the last reader drops the table on its own
+// connection, so a table is never dropped while a gather reads it.
+type msgTable struct {
+	name    string
+	src     int // the partition whose Compute created it (its shard, in a group)
+	readers int // guarded by inboxes.mu
 }
 
-type msgEntry struct {
-	seq   int64
-	name  string
-	refs  int    // in-flight gather tasks reading this table
-	dests []bool // which partitions the table holds rows for
+// inboxItem is one unread delivery: a shared message table, or an
+// encoded shard.Batch of rows another shard routed here.
+type inboxItem struct {
+	table *msgTable
+	batch []byte
 }
 
-func newMsgRegistry(p int) *msgRegistry {
-	return &msgRegistry{consumed: make([]int64, p), p: p}
+// inboxes hold each partition's unread messages — the paper's "global
+// data-structure that is visible across all SQLoop threads". A gather
+// takes its partition's whole list at once, so a delivery that lands
+// while it runs waits for the next gather.
+type inboxes struct {
+	mu    sync.Mutex
+	items [][]inboxItem
+	live  []*msgTable // posted and not yet dropped
 }
 
-// add registers a created message table, assigning its sequence number
-// under the lock. Sequence numbers must be issued at registration time:
-// if they were reserved before the table was built, a gather could
-// advance its cursor past a still-unregistered table and lose messages.
-// dests lists the partitions the table holds rows for (message tables
-// carry Rid, so SQLoop can hash each id to its partition, §V-C); a
-// partition with no rows in any unread table has no gather work.
-func (r *msgRegistry) add(name string, dests []bool) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	r.entries = append(r.entries, &msgEntry{seq: r.seq, name: name, dests: dests})
-	return r.seq
+func newInboxes(p int) *inboxes { return &inboxes{items: make([][]inboxItem, p)} }
+
+// post delivers a message table to the partitions it holds rows for.
+func (b *inboxes) post(t *msgTable, dests []int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t.readers = len(dests)
+	for _, d := range dests {
+		b.items[d] = append(b.items[d], inboxItem{table: t})
+	}
+	b.live = append(b.live, t)
 }
 
-// unreadFor returns the message tables partition x has not consumed yet
-// and pins them against garbage collection. through is the highest seq
-// in the snapshot (pass to doneReading).
-func (r *msgRegistry) unreadFor(x int) (names []string, through int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	through = r.consumed[x]
-	for _, e := range r.entries {
-		if e.seq > r.consumed[x] {
-			// The cursor advances over tables with nothing for x; only
-			// tables that target x are actually read.
-			if e.seq > through {
-				through = e.seq
-			}
-			if e.dests == nil || (x < len(e.dests) && e.dests[x]) {
-				e.refs++
-				names = append(names, e.name)
-			}
+// postBatch delivers an encoded batch of routed rows to partition x.
+func (b *inboxes) postBatch(x int, batch []byte) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.items[x] = append(b.items[x], inboxItem{batch: batch})
+}
+
+// take removes and returns everything partition x has not read yet.
+func (b *inboxes) take(x int) []inboxItem {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	items := b.items[x]
+	b.items[x] = nil
+	return items
+}
+
+// release ends one read of t and reports whether it was the last, in
+// which case the caller drops the table and then calls dropped.
+func (b *inboxes) release(t *msgTable) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	t.readers--
+	return t.readers == 0
+}
+
+// dropped forgets a table its last reader has dropped.
+func (b *inboxes) dropped(t *msgTable) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, l := range b.live {
+		if l == t {
+			b.live = append(b.live[:i], b.live[i+1:]...)
+			return
 		}
 	}
-	return names, through
 }
 
-// doneReading releases the pin and advances x's consumption cursor.
-func (r *msgRegistry) doneReading(x int, names []string, through int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	for _, e := range r.entries {
-		if set[e.name] {
-			e.refs--
-		}
-	}
-	if through > r.consumed[x] {
-		r.consumed[x] = through
-	}
+// unread reports whether partition x has pending messages.
+func (b *inboxes) unread(x int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.items[x]) > 0
 }
 
-// hasUnread reports whether partition x has pending messages.
-func (r *msgRegistry) hasUnread(x int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.seq > r.consumed[x] && (e.dests == nil || (x < len(e.dests) && e.dests[x])) {
+// anyUnread reports whether any partition has pending messages.
+func (b *inboxes) anyUnread() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, it := range b.items {
+		if len(it) > 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// anyUnread reports whether any partition still has messages targeted
-// at it that it has not consumed.
-func (r *msgRegistry) anyUnread() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		for x := 0; x < r.p; x++ {
-			if r.consumed[x] < e.seq && (e.dests == nil || e.dests[x]) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// garbage removes fully consumed, unpinned tables from the registry and
-// returns their names for dropping.
-func (r *msgRegistry) garbage() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	min := r.seq
-	for _, c := range r.consumed {
-		if c < min {
-			min = c
-		}
-	}
-	var drop []string
-	kept := r.entries[:0]
-	for _, e := range r.entries {
-		droppable := e.refs == 0
-		if droppable && e.seq > min {
-			// Tables above the global low-water mark are still droppable
-			// once every TARGETED partition has consumed them.
-			for x := 0; x < r.p; x++ {
-				if (e.dests == nil || e.dests[x]) && r.consumed[x] < e.seq {
-					droppable = false
-					break
-				}
-			}
-		}
-		if droppable {
-			drop = append(drop, e.name)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	r.entries = kept
-	return drop
-}
-
-// remaining lists every live message table (for cleanup).
-func (r *msgRegistry) remaining() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.entries))
-	for i, e := range r.entries {
-		names[i] = e.name
-	}
-	r.entries = nil
-	return names
+// remaining hands every table not yet dropped to cleanup.
+func (b *inboxes) remaining() []*msgTable {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	live := b.live
+	b.live = nil
+	return live
 }
 
 // taskResult is what a worker reports after one partition task.
@@ -182,69 +153,74 @@ type taskResult struct {
 	prio    float64
 	hasPrio bool
 	// gatherOnly marks a prioritized-scheduler gather task (it does not
-	// complete a round; see driveAsync).
+	// complete a round; see driveAsync); quiet marks a compute that took
+	// the quiet-partition fast path.
 	gatherOnly bool
+	quiet      bool
+	// shipped and shipDur are the rows a group compute routed to other
+	// shards and the time reading, routing and encoding them took; round
+	// is the round in progress when the task was dispatched, so every
+	// exchange of round k+1 follows a checkpoint due after round k.
+	shipped int64
+	shipDur time.Duration
+	round   int
 }
 
-// workerPool runs partition tasks on dedicated connections — SQLoop's
+// workerPool runs partition tasks on pinned connections — SQLoop's
 // thread pool where "each thread opens a new connection with the
-// underlying database system" (§V-B).
+// underlying database system" (§V-B). In-process any worker takes any
+// task from one shared queue; pinned, worker s serves partition s alone.
 type workerPool struct {
-	tasks   chan func(*dbConn) taskResult
+	queues  []chan func(*dbConn) taskResult
+	pinned  bool
 	results chan taskResult
 	wg      sync.WaitGroup
-	conns   []*dbConn
-	closers []func() error
 }
 
-// newWorkerPool opens n pinned connections and starts the workers.
-func newWorkerPool(ctx context.Context, s *SQLoop, n int) (*workerPool, error) {
-	p := &workerPool{
-		tasks:   make(chan func(*dbConn) taskResult),
-		results: make(chan taskResult, n),
-	}
-	for i := 0; i < n; i++ {
-		conn, err := s.db.Conn(ctx)
-		if err != nil {
-			_ = p.close()
-			return nil, fmt.Errorf("core: worker %d connection: %w", i, err)
+// startWorkers starts one worker per connection.
+func startWorkers(conns []*dbConn, pinned bool) *workerPool {
+	p := &workerPool{pinned: pinned, results: make(chan taskResult, len(conns))}
+	if pinned {
+		// A partition never has two tasks in flight, so one slot per
+		// queue keeps submit from blocking.
+		for range conns {
+			p.queues = append(p.queues, make(chan func(*dbConn) taskResult, 1))
 		}
-		c := s.newConn(conn)
-		p.conns = append(p.conns, c)
-		p.closers = append(p.closers, conn.Close)
+	} else {
+		p.queues = []chan func(*dbConn) taskResult{make(chan func(*dbConn) taskResult)}
 	}
-	for _, c := range p.conns {
+	for i, c := range conns {
+		q := p.queues[0]
+		if pinned {
+			q = p.queues[i]
+		}
 		p.wg.Add(1)
-		// Capture the channel: close() nils the struct field, and a
-		// not-yet-scheduled worker must still see the real channel.
-		go func(c *dbConn, tasks <-chan func(*dbConn) taskResult) {
+		go func() {
 			defer p.wg.Done()
-			for task := range tasks {
+			for task := range q {
 				p.results <- task(c)
 			}
-		}(c, p.tasks)
+		}()
 	}
-	return p, nil
+	return p
 }
 
-// close shuts the pool down and releases connections.
-func (p *workerPool) close() error {
-	if p.tasks != nil {
-		close(p.tasks)
-		p.tasks = nil
+// submit queues a task for partition x.
+func (p *workerPool) submit(x int, task func(*dbConn) taskResult) {
+	if p.pinned {
+		p.queues[x] <- task
+		return
 	}
+	p.queues[0] <- task
+}
+
+// close stops the workers once their queued tasks are done.
+func (p *workerPool) close() {
+	for _, q := range p.queues {
+		close(q)
+	}
+	p.queues = nil
 	p.wg.Wait()
-	for _, c := range p.conns {
-		c.closeStmts()
-	}
-	var err error
-	for _, cl := range p.closers {
-		if e := cl(); e != nil && err == nil {
-			err = e
-		}
-	}
-	p.closers = nil
-	return err
 }
 
 // debugAsync enables scheduler tracing (tests only).
@@ -258,10 +234,18 @@ type parallelRun struct {
 	cte     *sqlparser.LoopCTEStmt
 	pl      *plan
 	mode    Mode
-	coord   *dbConn
+	// coord is the in-process coordinator connection (nil in a group).
+	coord *dbConn
+	// conns are the worker connections: Threads of them in-process, one
+	// per shard in a group (conns[s] is shard s's). closers stays
+	// index-aligned with conns.
+	conns   []*dbConn
+	closers []func() error
 	pool    *workerPool
-	msgs    *msgRegistry
+	inbox   *inboxes
 	term    *terminator
+	// group is the shard placement; nil for an in-process run.
+	group *shardPlacement
 
 	rt *roundTrace
 
@@ -282,6 +266,75 @@ type parallelRun struct {
 	startRound int
 
 	stats ExecStats
+}
+
+// init sets the run up for a plan. The caller sets s, the checkpoint
+// context and, for a group, the placement, and adds the connections.
+func (r *parallelRun) init(cte *sqlparser.LoopCTEStmt, pl *plan, mode Mode, tok string) {
+	r.cte, r.pl, r.mode = cte, pl, mode
+	// Sync has real barriers, so its rounds trace eagerly; the async
+	// schedulers discover rounds at completion (lazy).
+	r.rt = newRoundTrace(r.s.tracer, mode != ModeSync)
+	r.term = newTerminator(cte, r.s.tracer, tok)
+	r.term.rTable = pl.rQL
+	r.prioQuery = r.s.opts.PriorityQuery
+	if r.prioQuery == "" {
+		r.prioQuery = pl.defaultPriorityQuery()
+	}
+	r.resetPartitions(0)
+}
+
+// resetPartitions sizes the per-partition state for the current plan,
+// every partition at the given round and dirty, so each one runs again.
+func (r *parallelRun) resetPartitions(round int) {
+	p := r.pl.p
+	r.inbox = newInboxes(p)
+	r.rounds = make([]int, p)
+	for x := range r.rounds {
+		r.rounds[x] = round
+	}
+	r.clean = make([]bool, p)
+	r.lastGather = make([]int64, p)
+	r.computed = make([]atomic.Bool, p)
+	r.priority = make([]float64, p)
+	r.hasPrio = make([]bool, p)
+}
+
+// connect pins one connection to sh's engine as a worker connection.
+func (r *parallelRun) connect(ctx context.Context, sh *SQLoop) error {
+	conn, err := sh.db.Conn(ctx)
+	if err != nil {
+		return err
+	}
+	c := sh.newConn(conn)
+	r.conns = append(r.conns, c)
+	r.closers = append(r.closers, func() error {
+		c.closeStmts()
+		return conn.Close()
+	})
+	return nil
+}
+
+// closeConns stops the workers and releases every worker connection.
+func (r *parallelRun) closeConns() {
+	if r.pool != nil {
+		r.pool.close()
+		r.pool = nil
+	}
+	for _, cl := range r.closers {
+		_ = cl()
+	}
+	r.conns, r.closers = nil, nil
+}
+
+// connOf is the connection that reaches partition x's table from the
+// coordinator side (drains, priority refreshes, checkpoints, cleanup),
+// which only runs with nothing in flight.
+func (r *parallelRun) connOf(x int) *dbConn {
+	if r.group != nil {
+		return r.conns[x]
+	}
+	return r.coord
 }
 
 // execIterativeParallel is the entry point from execIterative.
@@ -342,27 +395,8 @@ func (s *SQLoop) execIterativeParallel(ctx context.Context, cte *sqlparser.LoopC
 	}
 
 	pl := newPlan(cte, an, cols, s.opts.Partitions, tok, !s.opts.DisableMaterialization)
-	run := &parallelRun{
-		s: s, cte: cte, pl: pl, mode: mode, coord: coord,
-		// Sync has real barriers, so its rounds trace eagerly; the async
-		// schedulers discover rounds at completion (lazy).
-		rt:         newRoundTrace(s.tracer, mode != ModeSync),
-		msgs:       newMsgRegistry(pl.p),
-		term:       newTerminator(cte, s.tracer, tok),
-		rounds:     make([]int, pl.p),
-		clean:      make([]bool, pl.p),
-		lastGather: make([]int64, pl.p),
-		computed:   make([]atomic.Bool, pl.p),
-		priority:   make([]float64, pl.p),
-		hasPrio:    make([]bool, pl.p),
-	}
-	run.term.rTable = pl.rQL
-	run.prioQuery = s.opts.PriorityQuery
-	if run.prioQuery == "" {
-		run.prioQuery = pl.defaultPriorityQuery()
-	}
-
-	run.ckpt = ck
+	run := &parallelRun{s: s, coord: coord, ckpt: ck}
+	run.init(cte, pl, mode, tok)
 	defer run.cleanup(context.WithoutCancel(ctx))
 
 	if ck.restoring() {
@@ -400,20 +434,13 @@ func (s *SQLoop) execIterativeParallel(ctx context.Context, cte *sqlparser.LoopC
 		return nil, err
 	}
 
-	pool, err := newWorkerPool(ctx, s, s.opts.Threads)
-	if err != nil {
-		return nil, err
+	defer run.closeConns()
+	for i := 0; i < s.opts.Threads; i++ {
+		if err := run.connect(ctx, s); err != nil {
+			return nil, fmt.Errorf("core: worker %d connection: %w", i, err)
+		}
 	}
-	run.pool = pool
-	defer pool.close()
-
-	switch mode {
-	case ModeSync:
-		err = run.driveSync(ctx)
-	default:
-		err = run.driveAsync(ctx, mode == ModeAsyncPrio)
-	}
-	if err != nil {
+	if err := run.drive(ctx); err != nil {
 		return nil, err
 	}
 
@@ -421,31 +448,53 @@ func (s *SQLoop) execIterativeParallel(ctx context.Context, cte *sqlparser.LoopC
 	if err != nil {
 		return nil, err
 	}
-	run.stats.Mode = mode
-	run.stats.Parallelized = true
-	run.stats.Elapsed = time.Since(start)
-	run.stats.Rounds = run.rt.rounds
-	ck.finish(&run.stats)
+	run.finish(start)
 	out.Stats = run.stats
 	return out, nil
 }
 
-// saveParallelCkpt snapshots every partition table along with the
-// per-partition round counters. Callers must guarantee the message
-// registry is empty (drained) so the partition tables are the complete
-// iterative state.
-func (r *parallelRun) saveParallelCkpt(ctx context.Context, round int) error {
+// drive starts the workers and runs the schedule.
+func (r *parallelRun) drive(ctx context.Context) error {
+	r.pool = startWorkers(r.conns, r.group != nil)
+	if r.mode == ModeSync {
+		return r.driveSync(ctx)
+	}
+	return r.driveAsync(ctx, r.mode == ModeAsyncPrio)
+}
+
+// finish stamps the run's statistics after the final query.
+func (r *parallelRun) finish(start time.Time) {
+	r.stats.Mode = r.mode
+	r.stats.Parallelized = true
+	r.stats.Elapsed = time.Since(start)
+	r.stats.Rounds = r.rt.rounds
+	r.ckpt.finish(&r.stats)
+}
+
+// saveCkpt snapshots every partition table, each read on its own
+// partition's connection, with the per-partition round counters.
+// Callers must have delivered every pending message first, so the
+// partition tables are the complete iterative state.
+func (r *parallelRun) saveCkpt(ctx context.Context, round int) error {
 	names := make([]string, r.pl.p)
 	for x := range names {
 		names[x] = r.pl.partName(x)
 	}
-	return r.ckpt.save(ctx, r.coord, round, r.pl.p, r.rounds, r.pl.cols, names)
+	var epoch int64
+	if r.group != nil {
+		epoch = r.group.g.epoch.Load()
+	}
+	return r.ckpt.save(ctx, r.connOf, round, r.rounds, epoch, r.pl.cols, names)
 }
 
 // cleanup drops every working object.
 func (r *parallelRun) cleanup(ctx context.Context) {
-	for _, name := range r.msgs.remaining() {
-		_, _ = r.coord.runStmt(ctx, dropTable(name))
+	for _, t := range r.inbox.remaining() {
+		_, _ = r.connOf(t.src).runStmt(ctx, dropTable(t.name))
+	}
+	if r.group != nil {
+		r.cleanupShards(ctx)
+		return
 	}
 	for _, st := range r.pl.cleanupStmts(r.s.opts.KeepTable) {
 		_, _ = r.coord.runStmt(ctx, st)
@@ -465,96 +514,259 @@ func (r *parallelRun) cleanup(ctx context.Context) {
 // computeTask runs the three Compute steps for partition x on a worker
 // connection: absorb, emit messages, reset (§V-C). gatherChanged is the
 // change count of the gather that preceded this compute for x.
-func (r *parallelRun) computeTask(ctx context.Context, x int, c *dbConn, gatherChanged int64) (changed int64, msgs int, err error) {
+func (r *parallelRun) computeTask(ctx context.Context, x int, c *dbConn, gatherChanged int64) taskResult {
+	res := taskResult{part: x}
 	hasAbsorb := len(r.pl.valueSets) > 0
 	if hasAbsorb {
-		res, err := c.runStmt(ctx, r.pl.absorbStmt(x))
+		ar, err := c.runStmt(ctx, r.pl.absorbStmt(x))
 		if err != nil {
-			return 0, 0, fmt.Errorf("compute(absorb) pt%d: %w", x, err)
+			res.err = fmt.Errorf("compute(absorb) pt%d: %w", x, err)
+			return res
 		}
-		changed += res.RowsAffected
+		res.changed = ar.RowsAffected
 	}
 	// Quiet-partition fast path: once a partition has computed, its
 	// delta is reset to the identity after every compute; if the gather
 	// before this compute accepted nothing and the absorb changed
 	// nothing, every delta is still at the identity and the activity
 	// filter would yield an empty message table — skip the statements.
-	if hasAbsorb && r.computed[x].Load() && gatherChanged == 0 && changed == 0 {
-		return 0, 0, nil
+	if hasAbsorb && r.computed[x].Load() && gatherChanged == 0 && res.changed == 0 {
+		res.quiet = true
+		return res
 	}
 	r.computed[x].Store(true)
-	msgName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
-	if _, err := c.runStmt(ctx, r.pl.messageStmt(x, msgName)); err != nil {
-		return 0, 0, fmt.Errorf("compute(messages) pt%d: %w", x, err)
-	}
-	dests, n, err := r.messageDestinations(ctx, c, msgName)
-	if err != nil {
-		return 0, 0, err
-	}
-	if n > 0 {
-		// Index the routed part column (as mjoinStmts indexes src_id) so
-		// each destination's Gather reads its messages by lookup.
-		if _, err := c.runStmt(ctx, r.pl.msgIndexStmt(msgName)); err != nil {
-			return 0, 0, fmt.Errorf("compute(messages) pt%d: %w", x, err)
-		}
-		r.msgs.add(msgName, dests)
-		msgs = 1
-	} else if _, err := c.runStmt(ctx, dropTable(msgName)); err != nil {
-		return 0, 0, err
+	if res.err = r.emitMessages(ctx, x, c, &res); res.err != nil {
+		return res
 	}
 	if _, err := c.runStmt(ctx, r.pl.resetStmt(x)); err != nil {
-		return 0, 0, fmt.Errorf("compute(reset) pt%d: %w", x, err)
+		res.err = fmt.Errorf("compute(reset) pt%d: %w", x, err)
 	}
-	return changed, msgs, nil
+	return res
 }
 
-// messageDestinations reports which partitions a message table holds
-// rows for, plus how many distinct ones.
-func (r *parallelRun) messageDestinations(ctx context.Context, c *dbConn, msgName string) ([]bool, int, error) {
+// emitMessages creates partition x's message table and delivers it.
+// In-process the table goes, indexed on its routed part column (as
+// mjoinStmts indexes src_id) so each reader's gather is a lookup, to the
+// inbox of every partition it holds rows for. In a group the rows other
+// shards own travel as encoded batches (see ship) and the table stays
+// for x's own gather alone.
+func (r *parallelRun) emitMessages(ctx context.Context, x int, c *dbConn, res *taskResult) error {
+	msgName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
+	made, err := c.runStmt(ctx, r.pl.messageStmt(x, msgName))
+	if err != nil {
+		return fmt.Errorf("compute(messages) pt%d: %w", x, err)
+	}
+	var dests []int
+	if r.group != nil {
+		if made.RowsAffected > 0 {
+			res.msgs = 1
+			dests, err = r.ship(ctx, x, c, msgName, made.RowsAffected, res)
+		}
+	} else if dests, err = r.messageDestinations(ctx, c, msgName); len(dests) > 0 {
+		res.msgs = 1
+		if _, err = c.runStmt(ctx, r.pl.msgIndexStmt(msgName)); err != nil {
+			err = fmt.Errorf("compute(messages) pt%d: %w", x, err)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	if len(dests) == 0 {
+		_, err := c.runStmt(ctx, dropTable(msgName))
+		return err
+	}
+	r.inbox.post(&msgTable{name: msgName, src: x}, dests)
+	return nil
+}
+
+// messageDestinations lists the partitions a message table holds rows
+// for.
+func (r *parallelRun) messageDestinations(ctx context.Context, c *dbConn, msgName string) ([]int, error) {
 	q := fmt.Sprintf("SELECT DISTINCT %s FROM %s", msgPartCol, msgName)
 	res, err := c.query(ctx, q)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if len(res.Rows) == 0 {
-		return nil, 0, nil
-	}
-	dests := make([]bool, r.pl.p)
-	n := 0
+	var dests []int
 	for _, row := range res.Rows {
 		if p, ok := row[0].(int64); ok && p >= 0 && int(p) < r.pl.p {
-			dests[p] = true
-			n++
+			dests = append(dests, int(p))
 		}
 	}
-	return dests, n, nil
+	return dests, nil
 }
 
-// gatherTask accumulates unread messages into partition x's delta.
+// ship reads the rows of shard x's n-row message table that other
+// shards own, routes them Go-side with shard.Route — which hashes
+// bit-identically to the engines' PARTHASH — and posts each owner's
+// rows as an encoded batch. It returns the destinations left to read
+// the table itself: x, when some of its rows are x's own.
+func (r *parallelRun) ship(ctx context.Context, x int, c *dbConn, msgName string, n int64, res *taskResult) ([]int, error) {
+	t0 := time.Now()
+	msgCols := r.pl.msgCols()
+	sel := &sqlparser.Select{
+		From: []sqlparser.TableExpr{tbl(msgName)},
+		Where: &sqlparser.ComparisonExpr{Op: sqltypes.CmpNE,
+			Left: col("", msgPartCol), Right: intLit(int64(x))},
+	}
+	for _, mc := range msgCols {
+		sel.Items = append(sel.Items, item(col("", mc), mc))
+	}
+	out, err := c.runStmt(ctx, &sqlparser.SelectStmt{Body: sel})
+	if err != nil {
+		return nil, fmt.Errorf("exchange read on shard %d: %w", x, err)
+	}
+	parts, err := shard.Route(shard.Batch{Columns: msgCols, Rows: out.Rows}, 0, r.pl.p)
+	if err != nil {
+		return nil, fmt.Errorf("exchange route from shard %d: %w", x, err)
+	}
+	for d, b := range parts {
+		if d == x || len(b.Rows) == 0 {
+			continue
+		}
+		r.inbox.postBatch(d, shard.EncodeBatch(b))
+		res.shipped += int64(len(b.Rows))
+	}
+	res.shipDur = time.Since(t0)
+	if n > int64(len(out.Rows)) {
+		return []int{x}, nil
+	}
+	return nil, nil
+}
+
+// gatherTask accumulates partition x's unread messages into its delta.
+// Batches routed from other shards first become one receive table on
+// x's connection; each message table x was the last reader of is
+// dropped afterwards.
 func (r *parallelRun) gatherTask(ctx context.Context, x int, c *dbConn) (int64, error) {
-	names, through := r.msgs.unreadFor(x)
-	if len(names) == 0 {
-		// Nothing targets x, but the cursor must still advance past the
-		// irrelevant tables or they would count as unread forever.
-		r.msgs.doneReading(x, nil, through)
+	items := r.inbox.take(x)
+	if len(items) == 0 {
 		return 0, nil
 	}
-	defer r.msgs.doneReading(x, names, through)
-	res, err := c.runStmt(ctx, r.pl.gatherStmt(x, names))
-	if err != nil {
-		return 0, fmt.Errorf("gather pt%d: %w", x, err)
+	var names []string
+	var tables []*msgTable
+	var rows [][]any
+	for _, it := range items {
+		if it.table != nil {
+			tables = append(tables, it.table)
+			names = append(names, it.table.name)
+			continue
+		}
+		b, err := shard.DecodeBatch(it.batch)
+		if err != nil {
+			_ = r.releaseAll(ctx, c, tables) // the decode error is the one to report
+			return 0, fmt.Errorf("exchange decode on shard %d: %w", x, err)
+		}
+		rows = append(rows, b.Rows...)
 	}
-	return res.RowsAffected, nil
-}
-
-// collectGarbage drops fully consumed message tables.
-func (r *parallelRun) collectGarbage(ctx context.Context) error {
-	for _, name := range r.msgs.garbage() {
-		if _, err := r.coord.runStmt(ctx, dropTable(name)); err != nil {
-			return err
+	var rx string
+	if len(rows) > 0 {
+		rx = msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
+		names = append(names, rx)
+	}
+	var changed int64
+	err := r.receive(ctx, c, rx, rows)
+	if err == nil {
+		var res *Result
+		if res, err = c.runStmt(ctx, r.pl.gatherStmt(x, names)); err != nil {
+			err = fmt.Errorf("gather pt%d: %w", x, err)
+		} else {
+			changed = res.RowsAffected
 		}
 	}
+	if rx != "" {
+		if _, derr := c.runStmt(ctx, dropTable(rx)); err == nil {
+			err = derr
+		}
+	}
+	if derr := r.releaseAll(ctx, c, tables); err == nil {
+		err = derr
+	}
+	return changed, err
+}
+
+// receive materializes routed rows as the receive table rx.
+func (r *parallelRun) receive(ctx context.Context, c *dbConn, rx string, rows [][]any) error {
+	if rx == "" {
+		return nil
+	}
+	if _, err := c.runStmt(ctx, createAnyTable(rx, r.pl.msgCols(), false)); err != nil {
+		return fmt.Errorf("exchange receive: %w", err)
+	}
+	if err := insertRows(ctx, c, rx, rows); err != nil {
+		return fmt.Errorf("exchange receive: %w", err)
+	}
 	return nil
+}
+
+// releaseAll ends this gather's read of each table, dropping the ones
+// it was the last reader of.
+func (r *parallelRun) releaseAll(ctx context.Context, c *dbConn, tables []*msgTable) error {
+	var first error
+	for _, t := range tables {
+		if !r.inbox.release(t) {
+			continue
+		}
+		if _, err := c.runStmt(ctx, dropTable(t.name)); err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
+		}
+		r.inbox.dropped(t)
+	}
+	return first
+}
+
+// drain delivers every pending message into its partition's delta from
+// the coordinator side (gathers create no messages, so one pass
+// suffices). The accepted changes are credited to lastGather so the
+// next compute cannot take its quiet fast path past them, and a
+// partition that accepted any has work again.
+func (r *parallelRun) drain(ctx context.Context) (int64, error) {
+	var total int64
+	for x := 0; x < r.pl.p; x++ {
+		if !r.inbox.unread(x) {
+			continue
+		}
+		ch, err := r.gatherTask(ctx, x, r.connOf(x))
+		if err != nil {
+			return total, err
+		}
+		total += ch
+		if ch > 0 {
+			r.lastGather[x] += ch
+			r.clean[x] = false
+		}
+	}
+	return total, nil
+}
+
+// noteTask records a finished task: its PartitionDone event, message
+// tables and, for a group compute, its ShardExchange.
+func (r *parallelRun) noteTask(round int, res taskResult) {
+	r.rt.task(obs.PartitionDone{Round: round, Part: res.part,
+		Phase: res.phase, Changed: res.changed, Duration: res.dur})
+	r.rt.msgTables(res.msgs)
+	r.stats.MessageTables += res.msgs
+	if res.shipped > 0 {
+		r.group.crossRows += res.shipped
+		r.s.metrics.Counter("sqloop_shard_rows_exchanged").Add(res.shipped)
+		r.s.tracer.Emit(obs.ShardExchange{Round: res.round, Shard: res.part,
+			Rows: res.shipped, Tables: 1, Duration: res.shipDur})
+	}
+}
+
+// rebalanceDue reports the shard count a group should repartition to
+// after round, or 0.
+func (r *parallelRun) rebalanceDue(round int) int {
+	if r.group == nil {
+		return 0
+	}
+	if n := r.group.g.takeRebalance(round); n != r.pl.p {
+		return n
+	}
+	return 0
 }
 
 // driveSync is the Synchronous Execution (§V-E): phase one runs every
@@ -577,17 +789,14 @@ func (r *parallelRun) driveSync(ctx context.Context) error {
 		compute := func(x int) func(*dbConn) taskResult {
 			return func(c *dbConn) taskResult {
 				t0 := time.Now()
-				ch, msgs, err := r.computeTask(ctx, x, c, r.lastGather[x])
-				return taskResult{part: x, changed: ch, msgs: msgs, err: err,
-					dur: time.Since(t0), phase: "compute"}
+				res := r.computeTask(ctx, x, c, r.lastGather[x])
+				res.dur, res.phase, res.round = time.Since(t0), "compute", iters
+				return res
 			}
 		}
 		if err := r.runPhase(compute, func(res taskResult) {
 			roundChanged += res.changed
-			r.stats.MessageTables += res.msgs
-			r.rt.msgTables(res.msgs)
-			r.rt.task(obs.PartitionDone{Round: iters, Part: res.part,
-				Phase: res.phase, Changed: res.changed, Duration: res.dur})
+			r.noteTask(iters, res)
 		}); err != nil {
 			return err
 		}
@@ -604,15 +813,11 @@ func (r *parallelRun) driveSync(ctx context.Context) error {
 		if err := r.runPhase(gather, func(res taskResult) {
 			roundChanged += res.changed
 			r.lastGather[res.part] = res.changed
-			r.rt.task(obs.PartitionDone{Round: iters, Part: res.part,
-				Phase: res.phase, Changed: res.changed, Duration: res.dur})
+			r.noteTask(iters, res)
 		}); err != nil {
 			return err
 		}
 
-		if err := r.collectGarbage(ctx); err != nil {
-			return err
-		}
 		r.rt.end(iters, roundChanged)
 		done, err := r.term.satisfied(ctx, r.coord, iters, roundChanged)
 		if err != nil {
@@ -622,13 +827,18 @@ func (r *parallelRun) driveSync(ctx context.Context) error {
 		if done {
 			return nil
 		}
-		// Post-gather barrier: every message table has been consumed and
-		// collected, so the partition tables are the full state.
-		if r.ckpt.due(iters) {
-			for x := range r.rounds {
-				r.rounds[x] = iters
+		// Post-gather barrier: every message has been read and its table
+		// dropped, so the partition tables are the full state. A
+		// rebalance checkpoints the new topology itself.
+		for x := range r.rounds {
+			r.rounds[x] = iters
+		}
+		if n := r.rebalanceDue(iters); n > 0 {
+			if err := r.rebalance(ctx, iters, n); err != nil {
+				return err
 			}
-			if err := r.saveParallelCkpt(ctx, iters); err != nil {
+		} else if r.ckpt.due(iters) {
+			if err := r.saveCkpt(ctx, iters); err != nil {
 				return err
 			}
 		}
@@ -645,13 +855,16 @@ func (r *parallelRun) driveSync(ctx context.Context) error {
 // goroutine so the coordinator can drain results while feeding — with
 // more partitions than workers the two would otherwise deadlock.
 func (r *parallelRun) runPhase(mk func(int) func(*dbConn) taskResult, onDone func(taskResult)) error {
+	// The feeder may still be leaving its loop when the last result
+	// arrives, so it reads nothing a rebalance after the phase rewrites.
+	p, pool := r.pl.p, r.pool
 	go func() {
-		for x := 0; x < r.pl.p; x++ {
-			r.pool.tasks <- mk(x)
+		for x := 0; x < p; x++ {
+			pool.submit(x, mk(x))
 		}
 	}()
 	var firstErr error
-	for i := 0; i < r.pl.p; i++ {
+	for i := 0; i < p; i++ {
 		res := <-r.pool.results
 		if res.err != nil && firstErr == nil {
 			firstErr = res.err
@@ -666,14 +879,12 @@ func (r *parallelRun) runPhase(mk func(int) func(*dbConn) taskResult, onDone fun
 // is Gather-then-Compute, so freshly produced intermediate results are
 // consumed immediately; no barrier separates iterations. With prio set
 // it becomes the Prioritized Asynchronous Execution: the next partition
-// is the one whose pending change matters most, recomputed after every
-// task (§V-E).
+// is the one whose pending change matters most, kept current by every
+// task that changes it (§V-E).
 func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	if prio {
-		for x := 0; x < r.pl.p; x++ {
-			if err := r.refreshPriority(ctx, x); err != nil {
-				return err
-			}
+		if err := r.refreshPriorities(ctx); err != nil {
+			return err
 		}
 	}
 
@@ -704,7 +915,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	checkDue := false
 	computedSince := make([]bool, r.pl.p)
 	hasWork := func(x int) bool {
-		if r.msgs.hasUnread(x) {
+		if r.inbox.unread(x) {
 			return true
 		}
 		if prio {
@@ -720,11 +931,12 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		}
 		return true
 	}
-	// Checkpoints reuse the same soft-barrier machinery: when a round
-	// crosses a checkpoint boundary, dispatch pauses, in-flight tasks
-	// drain, pending messages are delivered into the deltas, and the
-	// partition tables are snapshotted as the complete state.
+	// Checkpoints and rebalances reuse the same soft-barrier machinery:
+	// when one comes due at a round boundary, dispatch pauses, in-flight
+	// tasks drain, pending messages are delivered into the deltas, and
+	// the partition tables alone are the complete state.
 	ckptPending := false
+	rebalanceTo := 0
 
 	// Every partition runs at least one round even for UNTIL 0
 	// ITERATIONS, matching the single-threaded executor.
@@ -744,6 +956,12 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		}
 		return true
 	}
+	// owes reports whether partition x holds the current round open.
+	// Iteration-bounded runs need every partition to run every round;
+	// otherwise only a partition with a task in flight or work pending
+	// does — one with neither would only run no-op tasks, so it counts
+	// as caught up with the round.
+	owes := func(x int) bool { return iterBounded || inflight[x] || hasWork(x) }
 
 	// pick selects the next partition and, for the prioritized
 	// scheduler, the task kind: gathers for partitions with pending
@@ -758,7 +976,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	pick := func() (int, int, bool) {
 		if prio {
 			for x := 0; x < r.pl.p; x++ {
-				if !inflight[x] && r.msgs.hasUnread(x) {
+				if !inflight[x] && r.inbox.unread(x) {
 					return x, taskGather, true
 				}
 			}
@@ -806,7 +1024,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			// A clean partition with no pending messages is a proven
 			// no-op; skipping it lets the pool drain so quiescence can
 			// be judged. Iteration-bounded runs still count every round.
-			if !iterBounded && r.clean[x] && !r.msgs.hasUnread(x) {
+			if !iterBounded && r.clean[x] && !r.inbox.unread(x) {
 				continue
 			}
 			next = (x + 1) % r.pl.p
@@ -815,88 +1033,65 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		return -1, 0, false
 	}
 
-	dispatch := func(x int) {
+	dispatch := func(x, kind int) {
 		inflight[x] = true
 		inflightCount++
-		r.pool.tasks <- func(c *dbConn) taskResult {
+		round := lastRound + 1
+		r.pool.submit(x, func(c *dbConn) taskResult {
 			t0 := time.Now()
-			gch, err := r.gatherTask(ctx, x, c)
-			if err != nil {
-				return taskResult{part: x, err: err}
+			var res taskResult
+			switch kind {
+			case taskPair:
+				gch, err := r.gatherTask(ctx, x, c)
+				if err != nil {
+					return taskResult{part: x, err: err}
+				}
+				res = r.computeTask(ctx, x, c, gch)
+				res.changed += gch
+				res.phase = "pair"
+			case taskGather:
+				// The prioritized scheduler runs Gather and Compute as
+				// separate tasks (§V-E, Fig. 3): delivering pending
+				// messages first and re-evaluating the priority in
+				// between keeps the priority queue honest — a fused task
+				// would absorb and reset freshly delivered candidates
+				// before the scheduler ever saw their priority. The
+				// gather refreshes x's priority on the worker ("SQLoop
+				// updates the priority at the end of each task by
+				// scanning the correlated partition", §V-E) unless it
+				// accepted nothing. Reading the cache in the worker is
+				// safe: partition tasks serialize, and the coordinator
+				// only writes it while no task for x is in flight.
+				gch, err := r.gatherTask(ctx, x, c)
+				res = taskResult{part: x, changed: gch, err: err, gatherOnly: true, phase: "gather",
+					prio: r.priority[x], hasPrio: r.hasPrio[x]}
+				if err == nil && gch > 0 {
+					res.prio, res.hasPrio, res.err = r.partitionPriority(ctx, x, c)
+				}
+			default:
+				gch := r.lastGather[x]
+				r.lastGather[x] = 0
+				res = r.computeTask(ctx, x, c, gch)
+				res.phase = "compute"
+				// A compute resets every delta to the identity, so no
+				// pending change is left to prioritize until a gather
+				// brings more; the quiet fast path leaves the deltas,
+				// hence the priority, as they were.
+				if res.quiet {
+					res.prio, res.hasPrio = r.priority[x], r.hasPrio[x]
+				}
 			}
-			cch, msgs, err := r.computeTask(ctx, x, c, gch)
-			res := taskResult{part: x, changed: gch + cch, msgs: msgs, err: err, phase: "pair"}
-			if prio && err == nil {
-				res.prio, res.hasPrio, res.err = r.partitionPriority(ctx, x, c)
-			}
-			res.dur = time.Since(t0)
+			res.dur, res.round = time.Since(t0), round
 			return res
-		}
-	}
-
-	// The prioritized scheduler runs Gather and Compute as separate
-	// tasks (§V-E, Fig. 3): delivering pending messages first and
-	// re-evaluating the priority in between keeps the priority queue
-	// honest — a fused task would absorb and reset freshly delivered
-	// candidates before the scheduler ever saw their priority.
-	dispatchGather := func(x int) {
-		inflight[x] = true
-		inflightCount++
-		// Reading the cached priority in the worker is safe: partition
-		// tasks serialize, and the coordinator only writes the cache
-		// while no task for x is in flight.
-		r.pool.tasks <- func(c *dbConn) taskResult {
-			t0 := time.Now()
-			gch, err := r.gatherTask(ctx, x, c)
-			res := taskResult{part: x, changed: gch, err: err, gatherOnly: true, phase: "gather"}
-			if err != nil {
-				res.dur = time.Since(t0)
-				return res
-			}
-			if gch == 0 {
-				// Nothing accepted: the deltas, hence the priority, are
-				// unchanged.
-				res.prio, res.hasPrio = r.priority[x], r.hasPrio[x]
-				res.dur = time.Since(t0)
-				return res
-			}
-			res.prio, res.hasPrio, res.err = r.partitionPriority(ctx, x, c)
-			res.dur = time.Since(t0)
-			return res
-		}
-	}
-	dispatchCompute := func(x int) {
-		inflight[x] = true
-		inflightCount++
-		r.pool.tasks <- func(c *dbConn) taskResult {
-			t0 := time.Now()
-			gch := r.lastGather[x]
-			r.lastGather[x] = 0
-			cch, msgs, err := r.computeTask(ctx, x, c, gch)
-			res := taskResult{part: x, changed: cch, msgs: msgs, err: err, phase: "compute"}
-			if err != nil {
-				res.dur = time.Since(t0)
-				return res
-			}
-			if gch == 0 && cch == 0 && msgs == 0 {
-				// Quiet fast path ran: deltas are untouched.
-				res.prio, res.hasPrio = r.priority[x], r.hasPrio[x]
-				res.dur = time.Since(t0)
-				return res
-			}
-			res.prio, res.hasPrio, res.err = r.partitionPriority(ctx, x, c)
-			res.dur = time.Since(t0)
-			return res
-		}
+		})
 	}
 
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		// Fill free workers (unless a termination check or checkpoint is
-		// pending).
-		for inflightCount < len(r.pool.conns) && taskErr == nil && !done && !checkPending && !ckptPending {
+		// Fill free workers (unless a soft-barrier action is pending).
+		for inflightCount < len(r.conns) && taskErr == nil && !done && !checkPending && !ckptPending && rebalanceTo == 0 {
 			x, kind, ok := pick()
 			if debugAsync {
 				fmt.Printf("DBG pick x=%d kind=%d ok=%v inflight=%d done=%v hasPrio=%v\n",
@@ -905,91 +1100,57 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			if !ok {
 				break
 			}
-			switch kind {
-			case taskGather:
-				dispatchGather(x)
-			case taskCompute:
-				dispatchCompute(x)
-			case taskIdle:
+			if kind == taskIdle {
 				idle[x] = true
 				idleCount++
-				dispatchCompute(x)
-			default:
-				dispatch(x)
 			}
+			dispatch(x, kind)
 		}
-		if checkPending && inflightCount == 0 {
-			// Soft barrier reached: deltas are stable, messages all
-			// delivered below before the condition runs. A partition that
-			// accepted messages here has work again: unmark it clean, or
-			// the round-robin pick would skip it (it has nothing unread)
-			// and quiescence would end the run with its delta unabsorbed.
-			for x := 0; x < r.pl.p; x++ {
-				if r.msgs.hasUnread(x) {
-					ch, err := r.gatherTask(ctx, x, r.coord)
-					if err != nil {
-						return err
-					}
-					roundChanged += ch
-					if ch > 0 {
-						r.lastGather[x] += ch
-						r.clean[x] = false
-					}
-				}
-			}
-			d, err := r.term.satisfied(ctx, r.coord, lastRound, roundChanged)
+		if inflightCount == 0 && taskErr == nil && (checkPending || ckptPending || rebalanceTo > 0) {
+			// Soft barrier reached: deliver every pending message so the
+			// deltas and partition tables hold the whole state. A
+			// partition that accepted messages here has work again (drain
+			// unmarks it clean), or the round-robin pick would skip it and
+			// quiescence would end the run with its delta unabsorbed.
+			ch, err := r.drain(ctx)
 			if err != nil {
 				return err
 			}
-			roundChanged = 0
-			checkPending = false
-			clear(computedSince)
-			if d {
-				done = true
-				break
+			roundChanged += ch
+			if checkPending {
+				d, err := r.term.satisfied(ctx, r.coord, lastRound, roundChanged)
+				if err != nil {
+					return err
+				}
+				roundChanged = 0
+				checkPending = false
+				clear(computedSince)
+				if d {
+					done = true
+					break
+				}
+			}
+			if rebalanceTo > 0 {
+				if err := r.rebalance(ctx, lastRound, rebalanceTo); err != nil {
+					return err
+				}
+				rebalanceTo, ckptPending = 0, false
+				inflight = make([]bool, r.pl.p)
+				idle = make([]bool, r.pl.p)
+				computedSince = make([]bool, r.pl.p)
+				next = 0
+			} else if ckptPending {
+				if err := r.saveCkpt(ctx, lastRound); err != nil {
+					return err
+				}
+				ckptPending = false
 			}
 			if prio {
 				// The drain moved mass into deltas behind the cached
 				// priorities' backs; recompute them or the scheduler
 				// would wrongly conclude there is no work left.
-				for x := 0; x < r.pl.p; x++ {
-					if err := r.refreshPriority(ctx, x); err != nil {
-						return err
-					}
-				}
-			}
-			continue
-		}
-		if ckptPending && !checkPending && !done && inflightCount == 0 && taskErr == nil {
-			// Checkpoint soft barrier reached: deliver every pending
-			// message so the partition tables alone carry the state, then
-			// snapshot them.
-			for x := 0; x < r.pl.p; x++ {
-				if r.msgs.hasUnread(x) {
-					ch, err := r.gatherTask(ctx, x, r.coord)
-					if err != nil {
-						return err
-					}
-					roundChanged += ch
-					if ch > 0 {
-						r.lastGather[x] += ch
-						r.clean[x] = false
-					}
-				}
-			}
-			if err := r.collectGarbage(ctx); err != nil {
-				return err
-			}
-			if err := r.saveParallelCkpt(ctx, lastRound); err != nil {
-				return err
-			}
-			ckptPending = false
-			if prio {
-				// Same cache-staleness hazard as the termination drain.
-				for x := 0; x < r.pl.p; x++ {
-					if err := r.refreshPriority(ctx, x); err != nil {
-						return err
-					}
+				if err := r.refreshPriorities(ctx); err != nil {
+					return err
 				}
 			}
 			continue
@@ -1029,11 +1190,8 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		if res.gatherOnly {
 			evRound++
 		}
-		r.rt.task(obs.PartitionDone{Round: evRound, Part: res.part,
-			Phase: res.phase, Changed: res.changed, Duration: res.dur})
-		r.rt.msgTables(res.msgs)
+		r.noteTask(evRound, res)
 		roundChanged += res.changed
-		r.stats.MessageTables += res.msgs
 
 		// Quiescence bookkeeping: a task that changed nothing and
 		// emitted nothing leaves its partition clean; any new messages
@@ -1050,44 +1208,52 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 			r.priority[res.part] = res.prio
 			r.hasPrio[res.part] = res.hasPrio
 		}
-		if err := r.collectGarbage(ctx); err != nil {
-			return err
-		}
 
-		// A "round" completes when the slowest partition advances.
-		minRounds := r.rounds[0]
-		for _, n := range r.rounds {
-			if n < minRounds {
+		// A "round" completes when the slowest partition still holding
+		// it open advances (with none left, when any partition does); it
+		// advances by one per result at most.
+		minRounds, maxRounds := -1, lastRound
+		for x, n := range r.rounds {
+			maxRounds = max(maxRounds, n)
+			if owes(x) && (minRounds < 0 || n < minRounds) {
 				minRounds = n
 			}
 		}
+		if minRounds < 0 {
+			minRounds = maxRounds
+		}
 		if minRounds > lastRound {
-			lastRound = minRounds
-			r.stats.Iterations = minRounds
-			r.rt.end(minRounds, roundChanged)
+			lastRound++
+			r.stats.Iterations = lastRound
+			r.rt.end(lastRound, roundChanged)
 			if needsBarrier {
 				checkDue = true
 			} else {
-				d, err := r.checkAsyncTermination(ctx, minRounds, roundChanged)
-				if err != nil {
-					return err
-				}
 				roundChanged = 0
-				if d {
+				if iterBounded && int64(lastRound) >= iterTarget {
 					done = true
 				}
 			}
-			if !done && r.ckpt.due(minRounds) {
-				ckptPending = true
-			}
-			// Lazy round boundary: the slowest partition just advanced,
-			// which is the async mode's closest analogue of a barrier.
-			// Workers keep draining their in-flight tasks while the
-			// coordinator waits for its slot back.
 			if !done {
+				if n := r.rebalanceDue(lastRound); n > 0 {
+					rebalanceTo = n
+				} else if r.ckpt.due(lastRound) {
+					ckptPending = true
+				}
+				// Lazy round boundary: the slowest partition just
+				// advanced, which is the async mode's closest analogue of
+				// a barrier. Workers keep draining their in-flight tasks
+				// while the coordinator waits for its slot back.
 				if err := yieldRound(ctx); err != nil {
 					return err
 				}
+			}
+		}
+		// A partition that does not hold the round open is caught up
+		// with it: the tasks it skipped would have been no-ops.
+		for x := range r.rounds {
+			if !owes(x) && r.rounds[x] < lastRound {
+				r.rounds[x] = lastRound
 			}
 		}
 		if checkDue && settled() {
@@ -1098,12 +1264,14 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 		// unprocessed result still carries priority/cleanliness updates.
 		// Iteration-bounded AsyncP runs end on their round bound instead:
 		// idle rounds complete them, so the round count and checkpoint
-		// cadence do not depend on the schedule. A checkpoint that came
-		// due is taken first, even when the round that made it due also
-		// quiesced the run (a partition's first Compute can be the run's
-		// last act when its messages were gathered while it was still in
-		// flight); the loop then ends once nothing is schedulable.
-		if !done && !ckptPending && inflightCount == 0 && !(prio && iterBounded) && r.quiescent(prio) {
+		// cadence do not depend on the schedule. A due checkpoint or
+		// rebalance is taken first, even when the round that made it due
+		// also quiesced the run (a partition's first Compute can be the
+		// run's last act when its messages were gathered while it was
+		// still in flight); the loop then ends once nothing is
+		// schedulable.
+		if !done && !ckptPending && rebalanceTo == 0 && inflightCount == 0 &&
+			!(prio && iterBounded) && r.quiescent(prio) {
 			done = true
 		}
 		if done && inflightCount == 0 {
@@ -1120,14 +1288,7 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 	// flight; deliver them so no accumulated change is silently lost
 	// (the Sync method's final gather phase has the same effect).
 	if done && iterBounded {
-		for x := 0; x < r.pl.p; x++ {
-			if r.msgs.hasUnread(x) {
-				if _, err := r.gatherTask(ctx, x, r.coord); err != nil {
-					return err
-				}
-			}
-		}
-		if err := r.collectGarbage(ctx); err != nil {
+		if _, err := r.drain(ctx); err != nil {
 			return err
 		}
 	}
@@ -1156,41 +1317,12 @@ func (r *parallelRun) driveAsync(ctx context.Context, prio bool) error {
 // scheduler deliberately skips workless partitions, so quiescence there
 // means no pending messages and no partition signalling work.
 func (r *parallelRun) quiescent(prio bool) bool {
-	if prio {
-		for x := range r.hasPrio {
-			if r.hasPrio[x] {
-				return false
-			}
-		}
-		return !r.msgs.anyUnread()
-	}
-	for _, c := range r.clean {
-		if !c {
+	for x := range r.clean {
+		if (prio && r.hasPrio[x]) || (!prio && !r.clean[x]) {
 			return false
 		}
 	}
-	return !r.msgs.anyUnread()
-}
-
-// checkAsyncTermination evaluates the UNTIL condition at round
-// granularity.
-func (r *parallelRun) checkAsyncTermination(ctx context.Context, round int, roundChanged int64) (bool, error) {
-	switch r.term.term.Kind {
-	case sqlparser.TermIterations:
-		n := r.term.term.N
-		if n < 1 {
-			n = 1
-		}
-		return int64(round) >= n, nil
-	case sqlparser.TermUpdates:
-		// N == 0 is handled by quiescence detection; N > 0 by the soft
-		// barrier. Rounds alone cannot prove either: in-flight messages
-		// may still cause updates.
-		return false, nil
-	default:
-		// TermExpr goes through the soft barrier.
-		return false, nil
-	}
+	return !r.inbox.anyUnread()
 }
 
 // partitionPriority evaluates the priority query for partition x on the
@@ -1205,27 +1337,39 @@ func (r *parallelRun) partitionPriority(ctx context.Context, x int, c *dbConn) (
 	return v, ok, nil
 }
 
-// refreshPriority updates the cached priority of x from the coordinator
-// connection (used at startup and after coordinator-side drains).
-func (r *parallelRun) refreshPriority(ctx context.Context, x int) error {
-	v, ok, err := r.partitionPriority(ctx, x, r.coord)
-	if err != nil {
-		return err
+// refreshPriorities re-evaluates every partition's cached priority from
+// the coordinator side (at startup and after coordinator-side drains).
+func (r *parallelRun) refreshPriorities(ctx context.Context) error {
+	for x := 0; x < r.pl.p; x++ {
+		v, ok, err := r.partitionPriority(ctx, x, r.connOf(x))
+		if err != nil {
+			return err
+		}
+		r.priority[x], r.hasPrio[x] = v, ok
 	}
-	r.priority[x] = v
-	r.hasPrio[x] = ok
 	return nil
 }
 
-// effectivePriority combines the priority signal with pending messages:
-// partitions with unread messages always have work; otherwise the query
-// must have produced a value.
-func (r *parallelRun) effectivePriority(x int) (float64, bool) {
-	if r.hasPrio[x] {
-		return r.priority[x], true
+// insertRows batch-inserts driver rows into a table on c.
+func insertRows(ctx context.Context, c *dbConn, table string, rows [][]any) error {
+	const batch = 500
+	for lo := 0; lo < len(rows); lo += batch {
+		hi := min(lo+batch, len(rows))
+		vals := &sqlparser.Values{Rows: make([][]sqlparser.Expr, 0, hi-lo)}
+		for _, row := range rows[lo:hi] {
+			exprs := make([]sqlparser.Expr, len(row))
+			for j, v := range row {
+				sv, err := sqltypes.FromGo(v)
+				if err != nil {
+					return err
+				}
+				exprs[j] = litVal(sv)
+			}
+			vals.Rows = append(vals.Rows, exprs)
+		}
+		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: table, Source: vals}); err != nil {
+			return err
+		}
 	}
-	if r.msgs.hasUnread(x) {
-		return 0, true
-	}
-	return 0, false
+	return nil
 }

@@ -1,9 +1,8 @@
 package core
 
 // Elastic-shard conformance: online repartitioning (grow and shrink)
-// between rounds, snapshot repartitioning on resume, and AsyncP
-// straggler handoff must all preserve bit-identical results against the
-// undisturbed single-node run. The failover half of the elastic story
+// between rounds and snapshot repartitioning on resume must preserve
+// bit-identical results against the undisturbed single-node run. The failover half of the elastic story
 // needs killable endpoints and lives in the root package's fault-matrix
 // suite (elastic_test.go); everything here runs on embedded engines.
 
@@ -295,38 +294,6 @@ func mustLoopCTE(t *testing.T, query string) *sqlparser.LoopCTEStmt {
 		t.Fatalf("parsed %T, want *sqlparser.LoopCTEStmt", st)
 	}
 	return cte
-}
-
-// TestShardedHandoffDifferential runs AsyncP with straggler handoff on
-// enough shards that pending queues build up, and requires both that
-// handoffs actually happen and that they change nothing about the
-// result.
-func TestShardedHandoffDifferential(t *testing.T) {
-	for _, q := range []struct{ name, query string }{
-		{"sssp", shardSSSP},
-		{"dagrank", shardDAGRank},
-	} {
-		t.Run(q.name, func(t *testing.T) {
-			want := singleNodeReference(t, "pgsim", q.query)
-			rec := &obs.Recorder{}
-			g := newElasticTestGroup(t, "pgsim", 4, 0, ShardGroupOptions{Handoff: true},
-				Options{Mode: ModeAsyncPrio, Observer: rec})
-			ctx := context.Background()
-			loadShardFixtures(t, func(qq string) (*Result, error) { return g.Exec(ctx, qq) })
-			res, err := g.Exec(ctx, q.query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdenticalRows(t, want, res)
-			if res.Stats.Handoffs < 1 {
-				t.Errorf("Stats.Handoffs = %d, want >= 1", res.Stats.Handoffs)
-			}
-			if rec.Count("shard_handoff") != res.Stats.Handoffs {
-				t.Errorf("shard_handoff events = %d, stats say %d",
-					rec.Count("shard_handoff"), res.Stats.Handoffs)
-			}
-		})
-	}
 }
 
 // TestElasticGroupValidation pins constructor errors: invalid rebalance

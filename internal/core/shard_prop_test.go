@@ -47,17 +47,16 @@ type propCase struct {
 	KillRound   int
 	RebalanceTo int // 0 when no rebalance is scheduled
 	RebalanceAt int
-	Handoff     bool
 }
 
 func (c propCase) elastic() bool {
-	return c.Standbys > 0 || c.KillShard >= 0 || c.RebalanceTo > 0 || c.Handoff
+	return c.Standbys > 0 || c.KillShard >= 0 || c.RebalanceTo > 0
 }
 
 func (c propCase) String() string {
-	return fmt.Sprintf("seed=%d profile=%s mode=%s shards=%d template=%s exprTerm=%v edges=%d source=%d standbys=%d kill=%d@%d rebalance=%d@%d handoff=%v",
+	return fmt.Sprintf("seed=%d profile=%s mode=%s shards=%d template=%s exprTerm=%v edges=%d source=%d standbys=%d kill=%d@%d rebalance=%d@%d",
 		c.Seed, c.Profile, c.Mode, c.Shards, c.Template, c.ExprTerm, len(c.Edges), c.Source,
-		c.Standbys, c.KillShard, c.KillRound, c.RebalanceTo, c.RebalanceAt, c.Handoff)
+		c.Standbys, c.KillShard, c.KillRound, c.RebalanceTo, c.RebalanceAt)
 }
 
 // genPropCase derives a scenario from a seed. Weights stay exact in
@@ -135,7 +134,7 @@ func genPropCase(seed int64) propCase {
 		}
 	}
 	// Elastic schedule: some cases get standby replicas plus a shard
-	// kill, a topology change, straggler handoff, or a mix — the fix
+	// kill, a topology change, or both — the fix
 	// point must come out bit-identical regardless.
 	c.Standbys = rng.Intn(3)
 	if c.Standbys > 0 && rng.Intn(3) == 0 {
@@ -155,7 +154,6 @@ func genPropCase(seed int64) propCase {
 			c.RebalanceAt = 1 + rng.Intn(3)
 		}
 	}
-	c.Handoff = c.Mode == ModeAsyncPrio && rng.Intn(2) == 1
 	return c
 }
 
@@ -259,7 +257,7 @@ func runPlainPropCase(t *testing.T, c propCase, query string) {
 	}
 }
 
-// runElasticPropCase executes the scheduled kill/rebalance/handoff
+// runElasticPropCase executes the scheduled kill and rebalance
 // events over killable wire endpoints. The reference runs single-node
 // over the same transport so type identity stays a sound oracle.
 func runElasticPropCase(t *testing.T, c propCase, query string) {
@@ -295,7 +293,6 @@ func runElasticPropCase(t *testing.T, c propCase, query string) {
 	}
 	gopts := ShardGroupOptions{
 		Replicas:     instances[c.Shards:],
-		Handoff:      c.Handoff,
 		ProbeTimeout: time.Second,
 	}
 	if c.RebalanceTo > 0 {

@@ -9,23 +9,20 @@ package core
 // s owns, and the per-partition Compute/Gather statements of §V-C run
 // unchanged — each against its shard's local partition.
 //
-// What is new versus the in-process parallel executor is the delta
-// exchange: a shard's message table holds rows for every destination
-// id, but only the locally-owned rows are reachable by the local
-// gather. After each compute wave the coordinator reads each shard's
-// remote-owned message rows (PARTHASH(id, S) <> s), routes them Go-side
-// with shard.Route — which hashes bit-identically to the engines'
-// PARTHASH — ships them through the shard batch codec, and inserts them
-// as receive tables on their owning shards. Termination conditions are
-// merged at the coordinator: iteration counts globally, update counts
-// sum, and aggregate UNTIL expressions are decomposed per §V-D
-// (SUM/COUNT add, MIN/MAX fold, AVG ships as SUM+COUNT).
+// The round scheduler is the in-process one (parallel.go), with shard s
+// as partition s: its tasks run on shard s's pinned connection, and the
+// message rows other shards own travel as encoded batches routed with
+// shard.Route, which hashes bit-identically to the engines' PARTHASH.
+// This file holds what only a group has: membership, failover and
+// online rebalance, the per-shard setup and final merge, and the
+// termination merge — iteration counts are global, update counts sum,
+// and aggregate UNTIL expressions are decomposed per §V-D (SUM/COUNT
+// add, MIN/MAX fold, AVG ships as SUM+COUNT).
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,9 +37,8 @@ import (
 )
 
 // ShardGroupOptions configures a group's elastic behaviour: standby
-// replicas for failover and growth, scheduled online repartitions, and
-// AsyncP straggler work handoff. The zero value is a plain fixed-N
-// group.
+// replicas for failover and growth, and scheduled online repartitions.
+// The zero value is a plain fixed-N group.
 type ShardGroupOptions struct {
 	// Replicas are standby instances available to the group: failover
 	// replaces a dead shard endpoint with one, and growing the shard
@@ -59,11 +55,6 @@ type ShardGroupOptions struct {
 	// most once. RequestRebalance triggers the same transition
 	// dynamically.
 	Rebalance []RebalanceStep
-	// Handoff enables AsyncP straggler mitigation: after each
-	// prioritized cycle the slowest shard's pending delta queue is
-	// pre-combined on the fastest shard and handed back as a single
-	// message table, so the straggler's next gather does one cheap pass.
-	Handoff bool
 	// ProbeTimeout bounds each per-shard liveness probe during failover
 	// (default 2s).
 	ProbeTimeout time.Duration
@@ -552,13 +543,13 @@ func (g *ShardGroup) execShardedCTE(ctx context.Context, cte *sqlparser.LoopCTES
 // the CTE, evaluated per shard and merged at the coordinator (§V-D
 // decomposition rules applied to the termination side).
 type shardTermPlan struct {
-	agg   string          // SUM, COUNT, MIN, MAX or AVG
-	star  bool            // COUNT(*)
-	arg   sqlparser.Expr  // aggregate argument (nil for COUNT(*))
-	alias string          // the CTE's alias inside the condition
-	where sqlparser.Expr  // optional row filter, references the CTE only
+	agg   string         // SUM, COUNT, MIN, MAX or AVG
+	star  bool           // COUNT(*)
+	arg   sqlparser.Expr // aggregate argument (nil for COUNT(*))
+	alias string         // the CTE's alias inside the condition
+	where sqlparser.Expr // optional row filter, references the CTE only
 	cmpOp sqltypes.CompareOp
-	cmpTo sqltypes.Value  // numeric comparison literal
+	cmpTo sqltypes.Value // numeric comparison literal
 }
 
 // decomposeTerm decides whether the UNTIL condition can be evaluated
@@ -655,65 +646,20 @@ func decomposeTerm(cte *sqlparser.LoopCTEStmt) (*shardTermPlan, string) {
 	return tp, ""
 }
 
-// shardedRun is one sharded execution in flight.
-type shardedRun struct {
-	g   *ShardGroup
-	cte *sqlparser.LoopCTEStmt
-	an  Analysis
-	pl  *plan // partition count == current shard count
-	// cols are the CTE's public columns, kept so an online rebalance can
-	// rebuild the plan at the new shard count.
-	cols []string
-	mode Mode
-	// conns pins one connection per shard; conns[s] is only ever used
-	// by shard s's worker goroutine or by the coordinator between waves.
-	// A rebalance grows or shrinks the slice between rounds (closers
-	// stays index-aligned with it).
-	conns   []*dbConn
-	closers []func() error
-	tp      *shardTermPlan // nil unless the UNTIL is a decomposed aggregate
-	tok     string
-	ck      *ckptRun
-	rt      *roundTrace
-
-	nameSeq atomic.Int64
-	// pending[s] lists message tables shard s has not gathered yet
-	// (its own compute output plus receive tables routed to it).
-	pending    [][]string
-	lastGather []int64
-	computed   []bool
-	rounds     []int
-	startRound int
-	crossRows  int64
-
-	stats ExecStats
+// shardPlacement is what a parallelRun needs to run its partitions on a
+// shard group: the group, the analysis and public columns to rebuild
+// the plan at a new shard count, and the decomposed UNTIL aggregate.
+type shardPlacement struct {
+	g         *ShardGroup
+	an        Analysis
+	cols      []string
+	tp        *shardTermPlan // nil unless the UNTIL is a decomposed aggregate
+	crossRows int64
 }
 
-// connectShard pins one connection to sh and appends it (with its
-// closer) to the run's connection set.
-func (r *shardedRun) connectShard(ctx context.Context, sh *SQLoop) error {
-	conn, err := sh.db.Conn(ctx)
-	if err != nil {
-		return err
-	}
-	c := sh.newConn(conn)
-	r.conns = append(r.conns, c)
-	r.closers = append(r.closers, func() error {
-		c.closeStmts()
-		return conn.Close()
-	})
-	return nil
-}
-
-// closeConns releases every connection the run still holds.
-func (r *shardedRun) closeConns() {
-	for _, cl := range r.closers {
-		_ = cl()
-	}
-	r.conns, r.closers = nil, nil
-}
-
-// execSharded runs one iterative CTE across every shard.
+// execSharded runs one iterative CTE across every shard: shard s holds
+// partition s, and the in-process scheduler drives them with one pinned
+// worker per shard.
 func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt, an Analysis, mode Mode, tp *shardTermPlan) (*Result, error) {
 	start := time.Now()
 	members := g.Shards()
@@ -740,17 +686,12 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 	rUser := strings.ToLower(cte.Name)
 	rName := rTableName(tok, cte.Name)
 
-	run := &shardedRun{
-		g: g, cte: cte, an: an, mode: mode, tp: tp, tok: tok, ck: ck,
-		rt:         newRoundTrace(g.tracer, false),
-		pending:    make([][]string, S),
-		lastGather: make([]int64, S),
-		computed:   make([]bool, S),
-		rounds:     make([]int, S),
-	}
+	// The run exists before the plan does so the shard connections are
+	// closed on every exit; init fills the rest in below.
+	run := &parallelRun{s: loop0, ckpt: ck, group: &shardPlacement{g: g, an: an, tp: tp}}
 	defer run.closeConns()
 	for s, sh := range members {
-		if err := run.connectShard(ctx, sh); err != nil {
+		if err := run.connect(ctx, sh); err != nil {
 			return nil, fmt.Errorf("core: shard %d connection: %w", s, err)
 		}
 	}
@@ -801,13 +742,17 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 			cte.Name, len(cols), an.DeltaItem+1)
 	}
 
-	run.cols = cols
-	run.pl = newPlan(cte, an, cols, S, tok, !g.opts.DisableMaterialization)
+	pl := newPlan(cte, an, cols, S, tok, !g.opts.DisableMaterialization)
+	run.group.cols = cols
+	run.init(cte, pl, mode, tok)
+	if tp != nil {
+		run.term.merged = run.checkExprMerged
+	}
 	defer run.cleanup(context.WithoutCancel(ctx))
 
 	if ck.restoring() {
 		if ck.resumed.Partitions != S {
-			if err := run.repartitionSnapshot(); err != nil {
+			if err := repartitionSnapshot(ck.resumed, pl); err != nil {
 				return nil, err
 			}
 		}
@@ -821,7 +766,7 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 				return err
 			}
 			_, err := conns[s].runStmt(ctx, &sqlparser.CreateViewStmt{
-				Name: run.pl.rQL, Body: run.localViewBody(s)})
+				Name: pl.rQL, Body: run.localViewBody(s)})
 			return err
 		}); err != nil {
 			return nil, err
@@ -843,9 +788,9 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 		}
 	}
 	if err := run.forEach(func(s int) error {
-		publishAdvisoryView(ctx, conns[s], rUser, run.pl.rQL)
-		if run.pl.materialized {
-			for _, st := range run.pl.mjoinStmts() {
+		publishAdvisoryView(ctx, conns[s], rUser, pl.rQL)
+		if pl.materialized {
+			for _, st := range pl.mjoinStmts() {
 				if _, err := conns[s].runStmt(ctx, st); err != nil {
 					return fmt.Errorf("materializing join on shard %d: %w", s, err)
 				}
@@ -856,43 +801,28 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 		return nil, err
 	}
 
-	switch mode {
-	case ModeSync:
-		err = run.driveSync(ctx)
-	case ModeAsyncPrio:
-		err = run.driveAsync(ctx, true)
-	default:
-		err = run.driveAsync(ctx, false)
-	}
-	if err != nil {
+	if err := run.drive(ctx); err != nil {
 		return nil, err
 	}
-
 	out, err := run.mergeFinal(ctx)
 	if err != nil {
 		return nil, err
 	}
-	run.stats.Mode = mode
-	run.stats.Parallelized = true
+	run.finish(start)
 	run.stats.ShardCount = len(run.conns)
-	run.stats.CrossShardRows = run.crossRows
-	run.stats.Elapsed = time.Since(start)
-	run.stats.Rounds = run.rt.rounds
-	ck.finish(&run.stats)
+	run.stats.CrossShardRows = run.group.crossRows
 	out.Stats = run.stats
 	return out, nil
 }
 
 // repartitionSnapshot rewrites a group snapshot taken under a different
-// shard count in place for the current topology: every recorded
-// partition row is re-routed by its id hash under the current count
-// (the same Route the live exchange uses), yielding one partition
-// table per current shard. Per-row delta state rides inside the rows
-// themselves, so re-routing whole rows preserves the execution state
-// exactly.
-func (r *shardedRun) repartitionSnapshot() error {
-	snap := r.ck.resumed
-	S := len(r.conns)
+// shard count in place for the plan's: every recorded partition row is
+// re-routed by its id hash under the current count (the same Route the
+// live exchange uses), yielding one partition table per current shard.
+// Per-row delta state rides inside the rows themselves, so re-routing
+// whole rows preserves the execution state exactly.
+func repartitionSnapshot(snap *ckpt.Snapshot, pl *plan) error {
+	S := pl.p
 	batches := make([]shard.Batch, 0, len(snap.Tables))
 	var cols []string
 	for _, ts := range snap.Tables {
@@ -926,7 +856,7 @@ func (r *shardedRun) repartitionSnapshot() error {
 	}
 	tables := make([]ckpt.TableState, S)
 	for s := 0; s < S; s++ {
-		ts := ckpt.TableState{Name: r.pl.partName(s), Columns: all.Columns,
+		ts := ckpt.TableState{Name: pl.partName(s), Columns: all.Columns,
 			Rows: make([][]ckpt.Value, len(parts[s].Rows))}
 		for i, row := range parts[s].Rows {
 			enc := make([]ckpt.Value, len(row))
@@ -943,14 +873,17 @@ func (r *shardedRun) repartitionSnapshot() error {
 	}
 	snap.Tables = tables
 	snap.Partitions = S
-	snap.PartRounds = fillRounds(make([]int, S), snap.Round)
+	snap.PartRounds = make([]int, S)
+	for s := range snap.PartRounds {
+		snap.PartRounds[s] = snap.Round
+	}
 	return nil
 }
 
 // forEach runs fn concurrently for every shard index and joins the
-// errors. Each invocation touches only its own shard's connection and
-// its own slice slots, so no locking is needed.
-func (r *shardedRun) forEach(fn func(s int) error) error {
+// errors. Each invocation touches only its own shard's connection, so
+// no locking is needed; callers run it with no task in flight.
+func (r *parallelRun) forEach(fn func(s int) error) error {
 	errs := make([]error, len(r.conns))
 	var wg sync.WaitGroup
 	for s := range r.conns {
@@ -969,15 +902,11 @@ func (r *shardedRun) forEach(fn func(s int) error) error {
 // drop the full copy, and re-expose the CTE name as a view over the
 // local partition alone (the union view of the in-process executor
 // would claim rows this shard does not have).
-func (r *shardedRun) localPartitionStmts(s int) []sqlparser.Statement {
+func (r *parallelRun) localPartitionStmts(s int) []sqlparser.Statement {
 	pl := r.pl
-	partCols := append([]string(nil), pl.cols...)
-	if pl.avg {
-		partCols = append(partCols, avgSumCol, avgCntCol)
-	}
 	sel := &sqlparser.Select{
 		From:  []sqlparser.TableExpr{tbl(pl.rQL)},
-		Where: eq(fn("PARTHASH", col("", pl.idCol), intLit(int64(pl.p))), intLit(int64(s))),
+		Where: eq(pl.partOf(col("", pl.idCol)), intLit(int64(s))),
 	}
 	for _, c := range pl.cols {
 		sel.Items = append(sel.Items, item(col("", c), ""))
@@ -989,16 +918,26 @@ func (r *shardedRun) localPartitionStmts(s int) []sqlparser.Statement {
 	}
 	return []sqlparser.Statement{
 		dropTable(pl.partName(s)),
-		createAnyTable(pl.partName(s), partCols, true),
+		createAnyTable(pl.partName(s), r.partCols(), true),
 		insertBody(pl.partName(s), sel),
 		dropTable(pl.rQL),
 		&sqlparser.CreateViewStmt{Name: pl.rQL, Body: r.localViewBody(s)},
 	}
 }
 
+// partCols are a partition table's columns: the public CTE columns plus
+// AVG's accumulators.
+func (r *parallelRun) partCols() []string {
+	cols := append([]string(nil), r.pl.cols...)
+	if r.pl.avg {
+		cols = append(cols, avgSumCol, avgCntCol)
+	}
+	return cols
+}
+
 // localViewBody selects the public CTE columns from this shard's
 // partition table.
-func (r *shardedRun) localViewBody(s int) sqlparser.SelectBody {
+func (r *parallelRun) localViewBody(s int) sqlparser.SelectBody {
 	sel := &sqlparser.Select{From: []sqlparser.TableExpr{tbl(r.pl.partName(s))}}
 	for _, c := range r.pl.cols {
 		sel.Items = append(sel.Items, item(col("", c), c))
@@ -1006,256 +945,17 @@ func (r *shardedRun) localViewBody(s int) sqlparser.SelectBody {
 	return sel
 }
 
-// computeShard runs the three Compute steps on shard s (absorb, emit
-// messages, reset). It returns the rows changed by the absorb and the
-// message table name ("" when the shard emitted nothing).
-func (r *shardedRun) computeShard(ctx context.Context, s int, gatherChanged int64) (int64, string, error) {
-	c := r.conns[s]
-	var changed int64
-	hasAbsorb := len(r.pl.valueSets) > 0
-	if hasAbsorb {
-		res, err := c.runStmt(ctx, r.pl.absorbStmt(s))
-		if err != nil {
-			return 0, "", fmt.Errorf("compute(absorb) shard %d: %w", s, err)
-		}
-		changed = res.RowsAffected
-	}
-	// Quiet-shard fast path (same proof as the in-process executor):
-	// after a compute every delta is at the identity; if the preceding
-	// gather accepted nothing and the absorb changed nothing, the
-	// activity filter would yield an empty message table.
-	if hasAbsorb && r.computed[s] && gatherChanged == 0 && changed == 0 {
-		return 0, "", nil
-	}
-	r.computed[s] = true
-	msgName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
-	if _, err := c.runStmt(ctx, r.pl.messageStmt(s, msgName)); err != nil {
-		return 0, "", fmt.Errorf("compute(messages) shard %d: %w", s, err)
-	}
-	n, ok, err := c.scalar(ctx, sqlparser.FormatDialect(countStmt(msgName), c.dialect))
-	if err != nil {
-		return 0, "", err
-	}
-	if !ok || n == 0 {
-		if _, err := c.runStmt(ctx, dropTable(msgName)); err != nil {
-			return 0, "", err
-		}
-		msgName = ""
-	}
-	if _, err := c.runStmt(ctx, r.pl.resetStmt(s)); err != nil {
-		return 0, "", fmt.Errorf("compute(reset) shard %d: %w", s, err)
-	}
-	return changed, msgName, nil
-}
-
-// exchange is the cross-shard delta wave: for every shard that emitted
-// a message table this cycle, read the rows owned by other shards,
-// route them Go-side, ship them through the batch codec and insert them
-// as receive tables on their owners. The local table keeps all rows —
-// the owner-filtered gather ignores the shipped ones — so no deletes
-// are needed.
-func (r *shardedRun) exchange(ctx context.Context, round int, msgs []string) error {
+// rebalance repartitions the working table onto newS shards at a soft
+// barrier (nothing in flight, every message delivered): read every
+// partition, split/merge the PARTHASH ranges by re-routing every row
+// under the new count, ship each bucket through the batch codec, swap
+// the group membership (standbys activate on growth, trailing shards
+// retire to the standby pool on shrink), rebuild the per-partition plan
+// and state, and checkpoint the new topology immediately.
+func (r *parallelRun) rebalance(ctx context.Context, round, newS int) error {
+	g := r.group.g
 	S := len(r.conns)
-	any := false
-	for _, m := range msgs {
-		if m != "" {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	msgCols := r.pl.msgCols()
-
-	// Phase one, parallel per source shard: read outbound rows, route by
-	// owner, encode each destination's batch for the wire.
-	outbound := make([][][]byte, S)
-	durs := make([]time.Duration, S)
-	moved := make([]int64, S)
-	if err := r.forEach(func(s int) error {
-		name := msgs[s]
-		if name == "" {
-			return nil
-		}
-		r.pending[s] = append(r.pending[s], name)
-		t0 := time.Now()
-		sel := &sqlparser.Select{
-			From: []sqlparser.TableExpr{tbl(name)},
-			Where: &sqlparser.ComparisonExpr{Op: sqltypes.CmpNE,
-				Left:  col("", msgPartCol),
-				Right: intLit(int64(s))},
-		}
-		for _, c := range msgCols {
-			sel.Items = append(sel.Items, item(col("", c), c))
-		}
-		res, err := r.conns[s].runStmt(ctx, &sqlparser.SelectStmt{Body: sel})
-		if err != nil {
-			return fmt.Errorf("exchange read on shard %d: %w", s, err)
-		}
-		if len(res.Rows) == 0 {
-			durs[s] = time.Since(t0)
-			return nil
-		}
-		parts, err := shard.Route(shard.Batch{Columns: msgCols, Rows: res.Rows}, 0, S)
-		if err != nil {
-			return fmt.Errorf("exchange route from shard %d: %w", s, err)
-		}
-		enc := make([][]byte, S)
-		for d := 0; d < S; d++ {
-			if d == s || len(parts[d].Rows) == 0 {
-				continue
-			}
-			enc[d] = shard.EncodeBatch(parts[d])
-			moved[s] += int64(len(parts[d].Rows))
-		}
-		outbound[s] = enc
-		durs[s] = time.Since(t0)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	// Phase two, parallel per destination shard: decode every inbound
-	// batch and materialize it as a receive table for the next gather.
-	rx := make([]int, S)
-	if err := r.forEach(func(d int) error {
-		for s := 0; s < S; s++ {
-			if outbound[s] == nil || outbound[s][d] == nil {
-				continue
-			}
-			b, err := shard.DecodeBatch(outbound[s][d])
-			if err != nil {
-				return fmt.Errorf("exchange decode on shard %d: %w", d, err)
-			}
-			rxName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
-			if err := r.insertBatch(ctx, r.conns[d], rxName, b); err != nil {
-				return fmt.Errorf("exchange insert on shard %d: %w", d, err)
-			}
-			r.pending[d] = append(r.pending[d], rxName)
-			rx[d]++
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	for s := 0; s < S; s++ {
-		r.stats.MessageTables += rx[s]
-		r.rt.msgTables(rx[s])
-		if moved[s] > 0 {
-			r.crossRows += moved[s]
-			r.g.metrics.Counter("sqloop_shard_rows_exchanged").Add(moved[s])
-			r.g.tracer.Emit(obs.ShardExchange{Round: round, Shard: s,
-				Rows: moved[s], Tables: 1, Duration: durs[s]})
-		}
-	}
-	return nil
-}
-
-// insertBatch materializes a decoded batch as a table on c.
-func (r *shardedRun) insertBatch(ctx context.Context, c *dbConn, name string, b shard.Batch) error {
-	if _, err := c.runStmt(ctx, createAnyTable(name, b.Columns, false)); err != nil {
-		return err
-	}
-	const batch = 500
-	for lo := 0; lo < len(b.Rows); lo += batch {
-		hi := min(lo+batch, len(b.Rows))
-		vals := &sqlparser.Values{Rows: make([][]sqlparser.Expr, 0, hi-lo)}
-		for _, row := range b.Rows[lo:hi] {
-			exprs := make([]sqlparser.Expr, len(row))
-			for j, v := range row {
-				sv, err := sqltypes.FromGo(v)
-				if err != nil {
-					return fmt.Errorf("batch value: %w", err)
-				}
-				exprs[j] = litVal(sv)
-			}
-			vals.Rows = append(vals.Rows, exprs)
-		}
-		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: name, Source: vals}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// gatherShard accumulates shard s's pending message tables into its
-// partition delta and drops them.
-func (r *shardedRun) gatherShard(ctx context.Context, s int) (int64, error) {
-	names := r.pending[s]
-	if len(names) == 0 {
-		return 0, nil
-	}
-	res, err := r.conns[s].runStmt(ctx, r.pl.gatherStmt(s, names))
-	if err != nil {
-		return 0, fmt.Errorf("gather shard %d: %w", s, err)
-	}
-	for _, n := range names {
-		if _, err := r.conns[s].runStmt(ctx, dropTable(n)); err != nil {
-			return 0, err
-		}
-	}
-	r.pending[s] = nil
-	return res.RowsAffected, nil
-}
-
-// drainGather delivers every pending message into the partition deltas
-// (gathers create no new messages, so one wave suffices). The accepted
-// changes are credited to lastGather so the next compute cannot take
-// its quiet fast path past them.
-func (r *shardedRun) drainGather(ctx context.Context) (int64, error) {
-	changes := make([]int64, len(r.conns))
-	err := r.forEach(func(s int) error {
-		ch, err := r.gatherShard(ctx, s)
-		if err != nil {
-			return err
-		}
-		changes[s] = ch
-		r.lastGather[s] += ch
-		return nil
-	})
-	var total int64
-	for _, c := range changes {
-		total += c
-	}
-	return total, err
-}
-
-// pendingEmpty reports whether any shard still has undelivered
-// messages.
-func (r *shardedRun) pendingEmpty() bool {
-	for _, p := range r.pending {
-		if len(p) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// maybeRebalance consumes a pending topology request and, between
-// rounds, repartitions the working table onto the new shard count:
-// drain in-flight messages (the same soft barrier a checkpoint uses),
-// read every partition, split/merge the PARTHASH ranges by re-routing
-// every row under the new count, ship each bucket through the batch
-// codec, swap the group membership (standbys activate on growth,
-// trailing shards retire to the standby pool on shrink), rebuild the
-// per-partition plan and checkpoint the new topology immediately.
-// Reports whether a checkpoint was just written so the caller's
-// due-save can skip.
-func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error) {
-	S := len(r.conns)
-	newS := r.g.takeRebalance(round)
-	if newS == 0 || newS == S {
-		return false, nil
-	}
-	if newS < 1 {
-		return false, fmt.Errorf("core: cannot rebalance to %d shards", newS)
-	}
 	start := time.Now()
-	if _, err := r.drainGather(ctx); err != nil {
-		return false, err
-	}
 
 	// Read each partition's complete rows (public columns plus the AVG
 	// accumulators), route every row under the new count and encode each
@@ -1269,14 +969,14 @@ func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error
 		batches[s] = shard.Batch{Columns: res.Columns, Rows: res.Rows}
 		return nil
 	}); err != nil {
-		return false, err
+		return err
 	}
 	outbound := make([][][]byte, S)
 	var moved int64
 	for s := 0; s < S; s++ {
 		parts, err := shard.Route(batches[s], 0, newS)
 		if err != nil {
-			return false, fmt.Errorf("rebalance route from shard %d: %w", s, err)
+			return fmt.Errorf("rebalance route from shard %d: %w", s, err)
 		}
 		outbound[s] = make([][]byte, newS)
 		for d := 0; d < newS; d++ {
@@ -1287,35 +987,28 @@ func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error
 		}
 	}
 
-	partCols := append([]string(nil), r.pl.cols...)
-	if r.pl.avg {
-		partCols = append(partCols, avgSumCol, avgCntCol)
-	}
+	partCols := r.partCols()
 	rUser := strings.ToLower(r.cte.Name)
 
 	// Retiring shards shed their working objects before leaving (their
 	// rows are already captured in the outbound buckets).
 	for s := newS; s < S; s++ {
-		c := r.conns[s]
-		for _, name := range r.pending[s] {
-			if _, err := c.runStmt(ctx, dropTable(name)); err != nil {
-				return false, err
-			}
-		}
 		for _, st := range []sqlparser.Statement{
 			dropView(rUser), dropView(r.pl.rQL), dropTable(r.pl.rQL),
 			dropTable(r.pl.partName(s)), dropTable(mjoinTableName(r.pl.tok, r.cte.Name)),
 		} {
-			if _, err := c.runStmt(ctx, st); err != nil {
-				return false, fmt.Errorf("rebalance retire shard %d: %w", s, err)
+			if _, err := r.conns[s].runStmt(ctx, st); err != nil {
+				return fmt.Errorf("rebalance retire shard %d: %w", s, err)
 			}
 		}
 	}
 
-	added, _, err := r.g.resize(newS)
+	added, _, err := g.resize(newS)
 	if err != nil {
-		return false, err
+		return err
 	}
+	// The workers serve the old shard set; restart them over the new one.
+	r.pool.close()
 	if newS < S {
 		for _, cl := range r.closers[newS:] {
 			_ = cl()
@@ -1324,22 +1017,21 @@ func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error
 		r.closers = r.closers[:newS]
 	}
 	for i, sh := range added {
-		if err := r.connectShard(ctx, sh); err != nil {
-			return false, fmt.Errorf("core: rebalance shard %d connection: %w", S+i, err)
+		if err := r.connect(ctx, sh); err != nil {
+			r.pool = startWorkers(r.conns, true)
+			return fmt.Errorf("core: rebalance shard %d connection: %w", S+i, err)
 		}
 	}
+	r.pool = startWorkers(r.conns, true)
 
 	// Rebuild the plan at the new partition count; every PARTHASH
 	// predicate, gather filter and priority query downstream picks the
-	// new count up from here.
-	r.pl = newPlan(r.cte, r.an, r.cols, newS, r.tok, !r.g.opts.DisableMaterialization)
-	r.pending = make([][]string, newS)
-	r.lastGather = make([]int64, newS)
-	// A fresh topology disables the quiet-shard fast path for one round:
-	// every delta already rides inside the moved rows, and the next
-	// message wave must re-derive activity from them.
-	r.computed = make([]bool, newS)
-	r.rounds = fillRounds(make([]int, newS), round)
+	// new count up from here. A fresh topology disables the quiet-shard
+	// fast path for one round: every delta already rides inside the
+	// moved rows, and the next message wave must re-derive activity from
+	// them.
+	r.pl = newPlan(r.cte, r.group.an, r.group.cols, newS, r.pl.tok, !g.opts.DisableMaterialization)
+	r.resetPartitions(round)
 
 	if err := r.forEach(func(d int) error {
 		c := r.conns[d]
@@ -1368,7 +1060,7 @@ func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error
 			if err != nil {
 				return fmt.Errorf("rebalance decode on shard %d: %w", d, err)
 			}
-			if err := r.insertRows(ctx, c, r.pl.partName(d), b.Rows); err != nil {
+			if err := insertRows(ctx, c, r.pl.partName(d), b.Rows); err != nil {
 				return fmt.Errorf("rebalance insert on shard %d: %w", d, err)
 			}
 		}
@@ -1386,150 +1078,18 @@ func (r *shardedRun) maybeRebalance(ctx context.Context, round int) (bool, error
 		}
 		return nil
 	}); err != nil {
-		return false, err
+		return err
 	}
 
-	ep := r.g.epoch.Add(1)
+	ep := g.epoch.Add(1)
 	r.stats.Rebalances++
-	r.g.metrics.Counter("sqloop_shard_rebalances_total").Inc()
-	r.g.tracer.Emit(obs.ShardRebalance{Round: round, From: S, To: newS,
+	g.metrics.Counter("sqloop_shard_rebalances_total").Inc()
+	g.tracer.Emit(obs.ShardRebalance{Round: round, From: S, To: newS,
 		Epoch: ep, Rows: moved, Duration: time.Since(start)})
 
 	// Checkpoint the new topology immediately so a crash from here on
 	// resumes at the new shard count rather than re-routing again.
-	if err := r.saveCkpt(ctx, round); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// maybeHandoff offloads the slowest shard's pending delta queue after a
-// prioritized cycle: its undelivered owned rows ship to the fastest
-// shard, which pre-combines them per id with the aggregate's own
-// combine rule (exactly what the straggler's gather would compute), and
-// the combined rows ship back as a single message table replacing the
-// queue. Correct because the exchange already routed away every
-// foreign-owned row when each message table was created — a shard's
-// pending queue holds only rows its own gather would read — and the
-// gather's combine is associative (MIN/MAX fold, SUM/COUNT add, AVG
-// ships as SUM+COUNT).
-func (r *shardedRun) maybeHandoff(ctx context.Context, cycle int, durs []time.Duration) error {
-	S := len(r.conns)
-	if S < 2 {
-		return nil
-	}
-	worst, best := -1, -1
-	for s := 0; s < S; s++ {
-		if len(r.pending[s]) > 1 && (worst < 0 || durs[s] > durs[worst]) {
-			worst = s
-		}
-	}
-	if worst < 0 {
-		return nil
-	}
-	for s := 0; s < S; s++ {
-		if s != worst && (best < 0 || durs[s] < durs[best]) {
-			best = s
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	msgCols := r.pl.msgCols()
-	batches := make([]shard.Batch, 0, len(r.pending[worst]))
-	for _, name := range r.pending[worst] {
-		sel := &sqlparser.Select{
-			From:  []sqlparser.TableExpr{tbl(name)},
-			Where: eq(col("", msgPartCol), intLit(int64(worst))),
-		}
-		for _, c := range msgCols {
-			sel.Items = append(sel.Items, item(col("", c), c))
-		}
-		res, err := r.conns[worst].runStmt(ctx, &sqlparser.SelectStmt{Body: sel})
-		if err != nil {
-			return fmt.Errorf("handoff read on shard %d: %w", worst, err)
-		}
-		batches = append(batches, shard.Batch{Columns: msgCols, Rows: res.Rows})
-	}
-	all, err := shard.Merge(batches...)
-	if err != nil {
-		return fmt.Errorf("handoff merge: %w", err)
-	}
-	if len(all.Rows) == 0 {
-		return nil
-	}
-
-	// Ship to the helper through the codec and combine per id there.
-	in, err := shard.DecodeBatch(shard.EncodeBatch(all))
-	if err != nil {
-		return fmt.Errorf("handoff decode on shard %d: %w", best, err)
-	}
-	inName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
-	if err := r.insertBatch(ctx, r.conns[best], inName, in); err != nil {
-		return fmt.Errorf("handoff insert on shard %d: %w", best, err)
-	}
-	comb := &sqlparser.Select{
-		Items:   []sqlparser.SelectItem{item(col("", "id"), "id")},
-		From:    []sqlparser.TableExpr{tbl(inName)},
-		GroupBy: []sqlparser.Expr{col("", "id")},
-	}
-	switch r.an.AggName {
-	case "MIN", "MAX":
-		comb.Items = append(comb.Items, item(fn(r.an.AggName, col("", "val")), "val"))
-	default: // SUM, COUNT and AVG all ship additive partials
-		comb.Items = append(comb.Items, item(fn("SUM", col("", "val")), "val"))
-	}
-	if r.pl.avg {
-		comb.Items = append(comb.Items, item(fn("SUM", col("", "cnt")), "cnt"))
-	}
-	comb.Items = append(comb.Items, item(intLit(int64(worst)), msgPartCol))
-	res, err := r.conns[best].runStmt(ctx, &sqlparser.SelectStmt{Body: comb})
-	if err != nil {
-		return fmt.Errorf("handoff combine on shard %d: %w", best, err)
-	}
-	if _, err := r.conns[best].runStmt(ctx, dropTable(inName)); err != nil {
-		return err
-	}
-
-	// Ship the combined queue back and swap it in for the old tables.
-	out, err := shard.DecodeBatch(shard.EncodeBatch(shard.Batch{Columns: msgCols, Rows: res.Rows}))
-	if err != nil {
-		return fmt.Errorf("handoff decode on shard %d: %w", worst, err)
-	}
-	outName := msgTableName(r.pl.tok, r.cte.Name, r.nameSeq.Add(1))
-	if err := r.insertBatch(ctx, r.conns[worst], outName, out); err != nil {
-		return fmt.Errorf("handoff return on shard %d: %w", worst, err)
-	}
-	old := r.pending[worst]
-	r.pending[worst] = []string{outName}
-	for _, name := range old {
-		if _, err := r.conns[worst].runStmt(ctx, dropTable(name)); err != nil {
-			return err
-		}
-	}
-	r.stats.Handoffs++
-	r.g.metrics.Counter("sqloop_shard_handoffs_total").Inc()
-	r.g.tracer.Emit(obs.ShardHandoff{Round: cycle, From: worst, To: best,
-		Tables: len(old), Rows: int64(len(all.Rows))})
-	return nil
-}
-
-// termKindString mirrors terminator.kindString for coordinator-emitted
-// events.
-func (r *shardedRun) termKindString() string {
-	switch r.cte.Until.Kind {
-	case sqlparser.TermIterations:
-		return "iterations"
-	case sqlparser.TermUpdates:
-		return "updates"
-	default:
-		return "expr"
-	}
-}
-
-func (r *shardedRun) emitTermCheck(round int, updated int64, satisfied bool) {
-	r.g.tracer.Emit(obs.TerminationCheck{Round: round, Kind: r.termKindString(),
-		Updated: updated, Satisfied: satisfied})
+	return r.saveCkpt(ctx, round)
 }
 
 // checkExprMerged evaluates the decomposed UNTIL aggregate: the same
@@ -1537,7 +1097,8 @@ func (r *shardedRun) emitTermCheck(round int, updated int64, satisfied bool) {
 // the rQL view), the partials merge per §V-D, and the merged value
 // feeds the original comparison. Fresh AST nodes are built per check so
 // no shared statement tree is ever mutated.
-func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
+func (r *parallelRun) checkExprMerged(ctx context.Context) (bool, error) {
+	tp := r.group.tp
 	aggStmt := func(aggName string, arg sqlparser.Expr, star bool) *sqlparser.SelectStmt {
 		fc := &sqlparser.FuncCall{Name: aggName, Star: star}
 		if !star {
@@ -1545,10 +1106,10 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 		}
 		sel := &sqlparser.Select{
 			Items: []sqlparser.SelectItem{item(fc, "")},
-			From:  []sqlparser.TableExpr{&sqlparser.TableName{Name: r.pl.rQL, Alias: r.tp.alias}},
+			From:  []sqlparser.TableExpr{&sqlparser.TableName{Name: r.pl.rQL, Alias: tp.alias}},
 		}
-		if r.tp.where != nil {
-			sel.Where = sqlparser.CloneExpr(r.tp.where)
+		if tp.where != nil {
+			sel.Where = sqlparser.CloneExpr(tp.where)
 		}
 		return &sqlparser.SelectStmt{Body: sel}
 	}
@@ -1568,15 +1129,15 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 	}
 
 	var merged float64
-	switch r.tp.agg {
+	switch tp.agg {
 	case "AVG":
 		// AVG does not merge; ship (SUM, COUNT) and divide at the
 		// coordinator, the same decomposition the message path uses.
-		sums, soks, err := runAgg("SUM", r.tp.arg, false)
+		sums, soks, err := runAgg("SUM", tp.arg, false)
 		if err != nil {
 			return false, err
 		}
-		cnts, _, err := runAgg("COUNT", r.tp.arg, false)
+		cnts, _, err := runAgg("COUNT", tp.arg, false)
 		if err != nil {
 			return false, err
 		}
@@ -1592,7 +1153,7 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 		}
 		merged = sum / cnt
 	case "MIN", "MAX":
-		vals, oks, err := runAgg(r.tp.agg, r.tp.arg, false)
+		vals, oks, err := runAgg(tp.agg, tp.arg, false)
 		if err != nil {
 			return false, err
 		}
@@ -1602,8 +1163,8 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 				continue // NULL on an empty shard contributes nothing
 			}
 			if !found ||
-				(r.tp.agg == "MIN" && vals[s] < merged) ||
-				(r.tp.agg == "MAX" && vals[s] > merged) {
+				(tp.agg == "MIN" && vals[s] < merged) ||
+				(tp.agg == "MAX" && vals[s] > merged) {
 				merged = vals[s]
 				found = true
 			}
@@ -1612,7 +1173,7 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 			return false, nil // all shards NULL: not satisfied
 		}
 	default: // SUM, COUNT
-		vals, oks, err := runAgg(r.tp.agg, r.tp.arg, r.tp.star)
+		vals, oks, err := runAgg(tp.agg, tp.arg, tp.star)
 		if err != nil {
 			return false, err
 		}
@@ -1623,333 +1184,20 @@ func (r *shardedRun) checkExprMerged(ctx context.Context) (bool, error) {
 				found = true
 			}
 		}
-		if r.tp.agg == "SUM" && !found {
+		if tp.agg == "SUM" && !found {
 			return false, nil // SUM over no rows anywhere is NULL
 		}
 	}
-	cmp, err := sqltypes.CompareSQL(r.tp.cmpOp, sqltypes.NewFloat(merged), r.tp.cmpTo)
+	cmp, err := sqltypes.CompareSQL(tp.cmpOp, sqltypes.NewFloat(merged), tp.cmpTo)
 	if err != nil {
 		return false, err
 	}
 	return cmp.IsTrue(), nil
 }
 
-// driveSync is the sharded Synchronous Execution: compute on every
-// shard concurrently, barrier, exchange remote deltas, gather on every
-// shard concurrently, barrier, then the merged termination check.
-func (r *shardedRun) driveSync(ctx context.Context) error {
-	term := r.cte.Until
-	iters := r.startRound
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if iters >= r.g.opts.MaxIterations {
-			return fmt.Errorf("core: iterative CTE %s exceeded %d iterations", r.cte.Name, r.g.opts.MaxIterations)
-		}
-		S := len(r.conns) // a rebalance changes it between rounds
-		iters++
-		r.rt.begin(iters)
-		var roundChanged int64
-		msgs := make([]string, S)
-		changes := make([]int64, S)
-		durs := make([]time.Duration, S)
-
-		if err := r.forEach(func(s int) error {
-			t0 := time.Now()
-			ch, msg, err := r.computeShard(ctx, s, r.lastGather[s])
-			changes[s], msgs[s], durs[s] = ch, msg, time.Since(t0)
-			return err
-		}); err != nil {
-			return err
-		}
-		for s := 0; s < S; s++ {
-			roundChanged += changes[s]
-			if msgs[s] != "" {
-				r.stats.MessageTables++
-				r.rt.msgTables(1)
-			}
-			r.rt.task(obs.PartitionDone{Round: iters, Part: s, Phase: "compute",
-				Changed: changes[s], Duration: durs[s]})
-		}
-
-		if err := r.exchange(ctx, iters, msgs); err != nil {
-			return err
-		}
-
-		if err := r.forEach(func(s int) error {
-			t0 := time.Now()
-			ch, err := r.gatherShard(ctx, s)
-			changes[s], durs[s] = ch, time.Since(t0)
-			return err
-		}); err != nil {
-			return err
-		}
-		for s := 0; s < S; s++ {
-			roundChanged += changes[s]
-			r.lastGather[s] = changes[s]
-			r.rt.task(obs.PartitionDone{Round: iters, Part: s, Phase: "gather",
-				Changed: changes[s], Duration: durs[s]})
-		}
-
-		r.rt.end(iters, roundChanged)
-		r.stats.Iterations = iters
-
-		var done bool
-		var err error
-		switch term.Kind {
-		case sqlparser.TermIterations:
-			done = int64(iters) >= term.N
-		case sqlparser.TermUpdates:
-			done = roundChanged <= term.N
-		default:
-			if done, err = r.checkExprMerged(ctx); err != nil {
-				return err
-			}
-		}
-		r.emitTermCheck(iters, roundChanged, done)
-		if done {
-			return nil
-		}
-		rebalanced, err := r.maybeRebalance(ctx, iters)
-		if err != nil {
-			return err
-		}
-		// Post-gather barrier: every message table has been delivered, so
-		// the partition tables are the complete state. A rebalance just
-		// checkpointed the new topology itself.
-		if !rebalanced && r.ck.due(iters) {
-			for x := range r.rounds {
-				r.rounds[x] = iters
-			}
-			if err := r.saveCkpt(ctx, iters); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// driveAsync is the sharded Asynchronous Execution: each cycle fuses
-// gather-then-compute per shard (all shards concurrent), then exchanges
-// remote deltas. With prio set it becomes the prioritized variant: the
-// per-shard priority query orders the shards and each shard's exchange
-// happens immediately after its own cycle, so high-priority shards see
-// the freshest deltas first.
-func (r *shardedRun) driveAsync(ctx context.Context, prio bool) error {
-	term := r.cte.Until
-	iterTarget := term.N
-	if iterTarget < 1 {
-		iterTarget = 1
-	}
-	prioQuery := r.g.opts.PriorityQuery
-	if prioQuery == "" {
-		prioQuery = r.pl.defaultPriorityQuery()
-	}
-	cycle := r.startRound
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if cycle >= r.g.opts.MaxIterations {
-			return fmt.Errorf("core: iterative CTE %s exceeded %d iterations", r.cte.Name, r.g.opts.MaxIterations)
-		}
-		S := len(r.conns) // a rebalance changes it between cycles
-		cycle++
-		r.rt.begin(cycle)
-		var cycleChanged int64
-		newMsgs := 0
-		changes := make([]int64, S)
-		durs := make([]time.Duration, S)
-
-		if prio {
-			order, err := r.priorityOrder(ctx, prioQuery)
-			if err != nil {
-				return err
-			}
-			// Sequential, in priority order, exchanging after every shard:
-			// a later shard's gather sees the earlier shards' fresh deltas
-			// within the same cycle.
-			for _, s := range order {
-				t0 := time.Now()
-				gch, err := r.gatherShard(ctx, s)
-				if err != nil {
-					return err
-				}
-				eff := gch + r.lastGather[s]
-				r.lastGather[s] = 0
-				cch, msg, err := r.computeShard(ctx, s, eff)
-				if err != nil {
-					return err
-				}
-				changes[s] = gch + cch
-				durs[s] = time.Since(t0)
-				if msg != "" {
-					newMsgs++
-					r.stats.MessageTables++
-					r.rt.msgTables(1)
-					one := make([]string, S)
-					one[s] = msg
-					if err := r.exchange(ctx, cycle, one); err != nil {
-						return err
-					}
-				}
-			}
-			if r.g.gopts.Handoff {
-				if err := r.maybeHandoff(ctx, cycle, durs); err != nil {
-					return err
-				}
-			}
-		} else {
-			msgs := make([]string, S)
-			if err := r.forEach(func(s int) error {
-				t0 := time.Now()
-				gch, err := r.gatherShard(ctx, s)
-				if err != nil {
-					return err
-				}
-				eff := gch + r.lastGather[s]
-				r.lastGather[s] = 0
-				cch, msg, err := r.computeShard(ctx, s, eff)
-				if err != nil {
-					return err
-				}
-				changes[s], msgs[s], durs[s] = gch+cch, msg, time.Since(t0)
-				return nil
-			}); err != nil {
-				return err
-			}
-			for s := 0; s < S; s++ {
-				if msgs[s] != "" {
-					newMsgs++
-					r.stats.MessageTables++
-					r.rt.msgTables(1)
-				}
-			}
-			if err := r.exchange(ctx, cycle, msgs); err != nil {
-				return err
-			}
-		}
-
-		for s := 0; s < S; s++ {
-			cycleChanged += changes[s]
-			r.rt.task(obs.PartitionDone{Round: cycle, Part: s, Phase: "pair",
-				Changed: changes[s], Duration: durs[s]})
-		}
-		r.rt.end(cycle, cycleChanged)
-		r.stats.Iterations = cycle
-		r.rounds = fillRounds(r.rounds, cycle)
-
-		switch term.Kind {
-		case sqlparser.TermIterations:
-			if int64(cycle) >= iterTarget {
-				// Deliver in-flight messages so no accumulated change is
-				// silently lost (the Sync method's final gather ran too).
-				if _, err := r.drainGather(ctx); err != nil {
-					return err
-				}
-				return nil
-			}
-		case sqlparser.TermUpdates:
-			if term.N == 0 {
-				// Quiescence: nothing changed, nothing emitted, nothing in
-				// flight — more cycles are provably no-ops.
-				if cycleChanged == 0 && newMsgs == 0 && r.pendingEmpty() {
-					return nil
-				}
-			} else {
-				drained, err := r.drainGather(ctx)
-				if err != nil {
-					return err
-				}
-				total := cycleChanged + drained
-				done := total <= term.N
-				r.emitTermCheck(cycle, total, done)
-				if done {
-					return nil
-				}
-			}
-		default: // decomposed TermExpr
-			drained, err := r.drainGather(ctx)
-			if err != nil {
-				return err
-			}
-			done, err := r.checkExprMerged(ctx)
-			if err != nil {
-				return err
-			}
-			r.emitTermCheck(cycle, cycleChanged+drained, done)
-			if done {
-				return nil
-			}
-			if cycleChanged+drained == 0 && newMsgs == 0 {
-				return fmt.Errorf("core: %s converged without satisfying its UNTIL condition", r.cte.Name)
-			}
-		}
-
-		rebalanced, err := r.maybeRebalance(ctx, cycle)
-		if err != nil {
-			return err
-		}
-		if !rebalanced && r.ck.due(cycle) {
-			// Same soft barrier the in-process async executor uses: drain
-			// pending messages so the partitions alone carry the state.
-			if _, err := r.drainGather(ctx); err != nil {
-				return err
-			}
-			if err := r.saveCkpt(ctx, cycle); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// fillRounds sets every shard's completed-round counter (sharded cycles
-// advance all shards together).
-func fillRounds(rounds []int, n int) []int {
-	for i := range rounds {
-		rounds[i] = n
-	}
-	return rounds
-}
-
-// priorityOrder evaluates the priority query on every shard's partition
-// and returns shard indices in descending priority. Shards whose query
-// yields no value sort last but still run — every shard must advance
-// every cycle for the global round count to stay meaningful.
-func (r *shardedRun) priorityOrder(ctx context.Context, q string) ([]int, error) {
-	type sp struct {
-		s  int
-		p  float64
-		ok bool
-	}
-	sps := make([]sp, len(r.conns))
-	if err := r.forEach(func(s int) error {
-		text := strings.ReplaceAll(q, "$PART", r.pl.partName(s))
-		v, ok, err := r.conns[s].scalar(ctx, text)
-		if err != nil {
-			return fmt.Errorf("priority query on shard %d: %w", s, err)
-		}
-		sps[s] = sp{s: s, p: v, ok: ok}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	sort.SliceStable(sps, func(i, j int) bool {
-		if sps[i].ok != sps[j].ok {
-			return sps[i].ok
-		}
-		return sps[i].p > sps[j].p
-	})
-	order := make([]int, len(sps))
-	for i, e := range sps {
-		order[i] = e.s
-	}
-	return order, nil
-}
-
 // mergeFinal collects every shard's partition onto shard 0 under the
 // rQL name and runs the final query there.
-func (r *shardedRun) mergeFinal(ctx context.Context) (*Result, error) {
+func (r *parallelRun) mergeFinal(ctx context.Context) (*Result, error) {
 	c0 := r.conns[0]
 	if _, err := c0.runStmt(ctx, dropView(r.pl.rQL)); err != nil {
 		return nil, err
@@ -1965,48 +1213,21 @@ func (r *shardedRun) mergeFinal(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("final merge read from shard %d: %w", s, err)
 		}
-		if err := r.insertRows(ctx, c0, r.pl.rQL, res.Rows); err != nil {
+		if err := insertRows(ctx, c0, r.pl.rQL, res.Rows); err != nil {
 			return nil, fmt.Errorf("final merge insert from shard %d: %w", s, err)
 		}
 	}
-	final := retargetCTE(r.cte.Final, r.cte, r.tok)
+	final := retargetCTE(r.cte.Final, r.cte, r.pl.tok)
 	return c0.runStmt(ctx, &sqlparser.SelectStmt{Body: final})
 }
 
-// insertRows batch-inserts driver rows into a table on c.
-func (r *shardedRun) insertRows(ctx context.Context, c *dbConn, table string, rows [][]any) error {
-	const batch = 500
-	for lo := 0; lo < len(rows); lo += batch {
-		hi := min(lo+batch, len(rows))
-		vals := &sqlparser.Values{Rows: make([][]sqlparser.Expr, 0, hi-lo)}
-		for _, row := range rows[lo:hi] {
-			exprs := make([]sqlparser.Expr, len(row))
-			for j, v := range row {
-				sv, err := sqltypes.FromGo(v)
-				if err != nil {
-					return err
-				}
-				exprs[j] = litVal(sv)
-			}
-			vals.Rows = append(vals.Rows, exprs)
-		}
-		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: table, Source: vals}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// cleanup drops every working object on every shard. KeepTable
+// cleanupShards drops every working object on every shard. KeepTable
 // re-publishes the merged result under the user name on shard 0.
-func (r *shardedRun) cleanup(ctx context.Context) {
+func (r *parallelRun) cleanupShards(ctx context.Context) {
 	rUser := strings.ToLower(r.cte.Name)
 	_ = r.forEach(func(s int) error {
 		c := r.conns[s]
-		for _, name := range r.pending[s] {
-			_, _ = c.runStmt(ctx, dropTable(name))
-		}
-		if s == 0 && r.g.opts.KeepTable {
+		if s == 0 && r.s.opts.KeepTable {
 			materializeKeepTable(ctx, c, rUser, r.pl.rQL)
 			_, _ = c.runStmt(ctx, dropView(r.pl.rQL))
 		} else {
@@ -2018,47 +1239,4 @@ func (r *shardedRun) cleanup(ctx context.Context) {
 		_, _ = c.runStmt(ctx, dropTable(mjoinTableName(r.pl.tok, r.cte.Name)))
 		return nil
 	})
-}
-
-// saveCkpt writes one group snapshot: every shard's partition table
-// (read over that shard's own connection) plus the per-shard round
-// counters, under the group-signature key. Callers must have drained
-// pending messages first.
-func (r *shardedRun) saveCkpt(ctx context.Context, round int) error {
-	ck := r.ck
-	if ck == nil {
-		return nil
-	}
-	start := time.Now()
-	snap := &ckpt.Snapshot{
-		Key: ck.key, Query: ck.query, Mode: ck.mode, Engine: ck.s.dsn,
-		CTE: ck.cteName, Token: ck.token, Round: round, Partitions: r.pl.p,
-		Epoch:      r.g.epoch.Load(),
-		PartRounds: append([]int(nil), r.rounds...),
-		Columns:    append([]string(nil), r.pl.cols...),
-		CreatedAt:  time.Now().UTC(),
-	}
-	tables := make([]ckpt.TableState, len(r.conns))
-	if err := r.forEach(func(s int) error {
-		ts, err := ck.readTable(ctx, r.conns[s], r.pl.partName(s))
-		if err != nil {
-			return err
-		}
-		tables[s] = ts
-		return nil
-	}); err != nil {
-		return err
-	}
-	snap.Tables = tables
-	n, err := ck.store.Save(snap)
-	if err != nil {
-		return fmt.Errorf("checkpoint of %s at round %d: %w", ck.cteName, round, err)
-	}
-	elapsed := time.Since(start)
-	r.g.tracer.Emit(obs.Checkpoint{CTE: ck.cteName, Round: round,
-		Tables: len(snap.Tables), Bytes: n, Elapsed: elapsed})
-	r.g.metrics.Counter("sqloop_checkpoints_total").Inc()
-	r.g.metrics.Counter("sqloop_checkpoint_bytes_total").Add(n)
-	r.g.metrics.Histogram("sqloop_checkpoint_seconds").Observe(elapsed)
-	return nil
 }

@@ -28,6 +28,10 @@ type terminator struct {
 	deltaReady bool
 	// tracer receives a TerminationCheck event per evaluation.
 	tracer obs.Tracer
+	// merged, when set, evaluates an expression condition instead of
+	// the query on c: a shard group merges per-shard partial aggregates
+	// (§V-D) because no one connection sees all of R.
+	merged func(context.Context) (bool, error)
 }
 
 func newTerminator(cte *sqlparser.LoopCTEStmt, tracer obs.Tracer, token string) *terminator {
@@ -118,6 +122,9 @@ func (t *terminator) check(ctx context.Context, c *dbConn, iter int, updated int
 		// convention that UNTIL 0 UPDATES stops on a no-change iteration.
 		return updated <= t.term.N, nil
 	case sqlparser.TermExpr:
+		if t.merged != nil {
+			return t.merged(ctx)
+		}
 		return t.checkExpr(ctx, c)
 	default:
 		return false, fmt.Errorf("core: unknown termination kind %d", t.term.Kind)

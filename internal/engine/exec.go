@@ -187,6 +187,13 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 		}
 		delete(x.eng.tables, lc)
 		x.eng.noteDDL(lc)
+		dropped := []string{lc}
+		t.mu.Lock()
+		for ix := range t.indexes {
+			dropped = append(dropped, ix)
+		}
+		t.mu.Unlock()
+		x.eng.forgetObjects(dropped...)
 		if err := x.eng.saveDiskCatalog(); err != nil {
 			return nil, fmt.Errorf("engine: persisting catalog after dropping %q: %w", s.Name, err)
 		}
@@ -207,6 +214,7 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 		}
 		delete(x.eng.views, lc)
 		x.eng.noteDDL(lc)
+		x.eng.forgetObjects(lc)
 	case sqlparser.DropIndex:
 		for _, t := range x.eng.tables {
 			t.mu.Lock()
@@ -214,6 +222,7 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 				delete(t.indexes, lc)
 				t.mu.Unlock()
 				x.eng.noteDDL(lc, t.name)
+				x.eng.forgetObjects(lc)
 				return &Result{}, nil
 			}
 			t.mu.Unlock()

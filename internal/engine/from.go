@@ -143,9 +143,9 @@ func (x *executor) indexLookup(tbl *Table, alias string, where sqlparser.Expr) (
 		return nil, false, nil
 	}
 	x.work.scanned++ // a lookup costs about one row touch
-	x.eng.stats.RowsScanned.Add(1)
 	if tbl.pkCol >= 0 && col == tbl.pkCol {
 		if row, found := tbl.store.Get(val.MapKey()); found {
+			x.eng.stats.RowsScanned.Add(1)
 			return []sqltypes.Row{row}, true, nil
 		}
 		return nil, true, nil
@@ -163,6 +163,8 @@ func (x *executor) indexLookup(tbl *Table, alias string, where sqlparser.Expr) (
 				rows = append(rows, row)
 			}
 		}
+		// Rows read through an index count as read, as a scan's do.
+		x.eng.stats.RowsScanned.Add(int64(len(rows)))
 		return rows, true, nil
 	}
 	return nil, false, nil
@@ -1022,7 +1024,7 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 	renv := &evalEnv{frame: rightFrame, x: x}
 	cenv := &evalEnv{frame: outFrame, x: x}
 	combined := make(sqltypes.Row, outFrame.width)
-	joined := int64(0)
+	joined, read := int64(0), int64(0)
 	var pkEnt [1]ixEntry
 
 	for _, ra := range left.rows {
@@ -1049,6 +1051,7 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 				if !found {
 					continue
 				}
+				read++
 				if rightProg != nil {
 					// A raising predicate keeps the row, as in pushFilter.
 					renv.row = rb
@@ -1085,6 +1088,7 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 	}
 	x.work.joined += joined
 	x.work.scanned += int64(len(left.rows)) // one lookup per probe
+	x.eng.stats.RowsScanned.Add(read)
 	x.eng.stats.RowsJoined.Add(joined)
 	return out, true, nil
 }

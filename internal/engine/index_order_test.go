@@ -177,12 +177,14 @@ func TestIndexJoinUsesIndexInOrder(t *testing.T) {
 	mustExec(t, s, `CREATE INDEX t_k ON t (k)`)
 	before := eng.Stats().RowsScanned
 	res := mustExec(t, s, `SELECT p.pid, t.id FROM p JOIN t ON p.pk = t.k`)
-	if got := eng.Stats().RowsScanned - before; got > 2 {
-		t.Errorf("index join scanned %d rows, want one row of p plus one lookup", got)
-	}
 	var want []int64
 	for i := int64(3); i < 200; i += 10 {
 		want = append(want, i)
+	}
+	// A scan of t would read all 200 rows; the index reads only the
+	// probe row's partners.
+	if got := eng.Stats().RowsScanned - before; got > 1+int64(len(want)) {
+		t.Errorf("index join scanned %d rows, want one row of p plus its %d partners", got, len(want))
 	}
 	var got []int64
 	for _, r := range res.Rows {

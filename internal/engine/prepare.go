@@ -3,6 +3,7 @@ package engine
 import (
 	"container/list"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -15,10 +16,11 @@ import (
 // This file implements prepared statements and the parse cache behind
 // them. SQLoop's executors send the same statement templates every
 // round — only bind values change — so the engine keeps the parsed form
-// of recent statements in a bounded LRU keyed by (dialect, SQL text)
-// and lets sessions pin a statement once (Prepare) and re-execute it by
-// handle (ExecPrepared). Cached ASTs are shared read-only across
-// sessions; the executor never mutates a statement it runs.
+// of recent statements in a bounded cache (see stmtCache) keyed by
+// (dialect, SQL text) and lets sessions pin a statement once (Prepare)
+// and re-execute it by handle (ExecPrepared). Cached ASTs are shared
+// read-only across sessions; the executor never mutates a statement it
+// runs.
 //
 // Invalidation is relcache-style, per catalog object: every DDL bumps a
 // generation counter for each object it touches (plus a whole-catalog
@@ -74,14 +76,27 @@ type stmtCacheEntry struct {
 	// (see compile.go); it lives and dies with the entry, so DDL
 	// invalidation discards programs along with the parse.
 	progs *progCache
+	// reused marks an entry in the protected segment (see stmtCache).
+	reused bool
 }
 
-// stmtCache is the bounded, mutex-guarded LRU.
+// stmtCache is the bounded, mutex-guarded statement cache, a 2Q-style
+// segmented LRU. A new entry starts on a short probation and moves to
+// the protected segment on its first hit; an entry evicted from
+// probation leaves a hash of its key behind, so a statement that comes
+// back after a long gap — a round template, re-sent once per round —
+// is admitted straight to the protected segment. Statements that run
+// once (those naming a per-round working table, or carrying their rows
+// as literals) thus never hold more than the probation's few slots,
+// whose parse trees would otherwise pin most of the cache's memory.
 type stmtCache struct {
-	mu  sync.Mutex
-	max int
-	lru *list.List // front = most recent; values are *stmtCacheEntry
-	m   map[stmtKey]*list.Element
+	mu        sync.Mutex
+	max       int
+	probation *list.List // entries not hit since they were cached; front = most recent
+	protected *list.List // entries hit at least once; front = most recent
+	m         map[stmtKey]*list.Element
+	ghosts    map[uint64]bool // hashes of keys evicted from probation
+	ghostLog  []uint64        // ghosts in eviction order, at most 4*max
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -89,7 +104,80 @@ type stmtCache struct {
 }
 
 func newStmtCache(max int) *stmtCache {
-	return &stmtCache{max: max, lru: list.New(), m: make(map[stmtKey]*list.Element)}
+	return &stmtCache{max: max, probation: list.New(), protected: list.New(),
+		m: make(map[stmtKey]*list.Element), ghosts: make(map[uint64]bool)}
+}
+
+// ghostSeed hashes evicted keys for the ghost set.
+var ghostSeed = maphash.MakeSeed()
+
+// probationMax bounds the probation segment: an eighth of the cache, at
+// least one entry.
+func (c *stmtCache) probationMax() int { return max(1, c.max/8) }
+
+// segment is the list holding ent.
+func (c *stmtCache) segment(ent *stmtCacheEntry) *list.List {
+	if ent.reused {
+		return c.protected
+	}
+	return c.probation
+}
+
+// touch records a hit: a protected entry moves to the front, a
+// probation entry is promoted. Caller holds c.mu.
+func (c *stmtCache) touch(e *Engine, el *list.Element) {
+	ent := el.Value.(*stmtCacheEntry)
+	if ent.reused {
+		c.protected.MoveToFront(el)
+		return
+	}
+	c.probation.Remove(el)
+	c.protect(e, ent)
+}
+
+// add caches a freshly parsed statement: on probation, or protected when
+// its key was evicted from probation recently. Caller holds c.mu.
+func (c *stmtCache) add(e *Engine, ent *stmtCacheEntry) {
+	if h := maphash.String(ghostSeed, ent.key.sql); c.ghosts[h] {
+		delete(c.ghosts, h)
+		c.protect(e, ent)
+		return
+	}
+	c.m[ent.key] = c.probation.PushFront(ent)
+	c.evict(e)
+}
+
+// protect puts ent at the front of the protected segment, demoting that
+// segment's least recent entry to probation when it is full. Caller
+// holds c.mu.
+func (c *stmtCache) protect(e *Engine, ent *stmtCacheEntry) {
+	ent.reused = true
+	c.m[ent.key] = c.protected.PushFront(ent)
+	if c.protected.Len() > c.max-c.probationMax() {
+		old := c.protected.Remove(c.protected.Back()).(*stmtCacheEntry)
+		old.reused = false
+		c.m[old.key] = c.probation.PushFront(old)
+		c.evict(e)
+	}
+}
+
+// evict trims the probation segment to its bound, remembering each
+// evicted key as a ghost. Caller holds c.mu.
+func (c *stmtCache) evict(e *Engine) {
+	for c.probation.Len() > c.probationMax() {
+		old := c.probation.Remove(c.probation.Back()).(*stmtCacheEntry)
+		delete(c.m, old.key)
+		h := maphash.String(ghostSeed, old.key.sql)
+		c.ghosts[h] = true
+		if c.ghostLog = append(c.ghostLog, h); len(c.ghostLog) > 4*c.max {
+			delete(c.ghosts, c.ghostLog[0])
+			c.ghostLog = c.ghostLog[1:]
+		}
+		c.evictions.Add(1)
+		if r := e.metrics.Load(); r != nil {
+			r.Counter("sqloop_stmt_cache_evictions").Inc()
+		}
+	}
 }
 
 // StmtCacheStats is a point-in-time view of the statement cache.
@@ -117,7 +205,7 @@ func (e *Engine) StmtCacheStats() StmtCacheStats {
 		return StmtCacheStats{}
 	}
 	c.mu.Lock()
-	size := c.lru.Len()
+	size := c.probation.Len() + c.protected.Len()
 	c.mu.Unlock()
 	return StmtCacheStats{
 		Hits:      c.hits.Load(),
@@ -139,17 +227,29 @@ func (e *Engine) ObjectGen(name string) uint64 {
 // noteDDL marks a catalog change to the named objects (lowercased by
 // the caller or here — both are safe), invalidating every cached
 // statement that references them plus all global-fallback entries.
+// Each named object takes the new catalog generation as its own, so an
+// object's generation is never reused and never zero once DDL named it.
 func (e *Engine) noteDDL(names ...string) {
-	e.catalogGen.Add(1)
+	g := e.catalogGen.Add(1)
 	for _, n := range names {
-		e.objGen(strings.ToLower(n)).Add(1)
+		e.objGen(strings.ToLower(n)).Store(g)
+	}
+}
+
+// forgetObjects drops the generation counters of dropped objects, so
+// an execution that creates and drops a table per round does not grow
+// the counter map without bound. Call it after noteDDL for the same
+// names. A counter made later for the name starts at zero, which no
+// entry cached while the object existed holds unless it predates any
+// DDL on the name; such an entry only finds the object missing again.
+func (e *Engine) forgetObjects(names ...string) {
+	for _, n := range names {
+		e.objGens.Delete(strings.ToLower(n))
 	}
 }
 
 // objGen returns the generation counter for one lowercased object name,
-// creating it on first sight. Counters are never removed: a dropped
-// table's counter must keep its value so entries referencing it stay
-// invalid, and re-creating the table bumps it again.
+// creating it on first sight.
 func (e *Engine) objGen(lc string) *atomic.Uint64 {
 	if v, ok := e.objGens.Load(lc); ok {
 		return v.(*atomic.Uint64)
@@ -331,7 +431,7 @@ func (e *Engine) cachedParse(sql string) (sqlparser.Statement, depSnapshot, *pro
 	if el, ok := c.m[key]; ok {
 		ent := el.Value.(*stmtCacheEntry)
 		if e.depsValid(ent.deps) {
-			c.lru.MoveToFront(el)
+			c.touch(e, el)
 			c.mu.Unlock()
 			c.hits.Add(1)
 			if r := e.metrics.Load(); r != nil {
@@ -341,7 +441,7 @@ func (e *Engine) cachedParse(sql string) (sqlparser.Statement, depSnapshot, *pro
 		}
 		// Stale dependencies: drop the entry and re-parse below. This is
 		// the DDL-invalidation miss.
-		c.lru.Remove(el)
+		c.segment(ent).Remove(el)
 		delete(c.m, key)
 	}
 	c.mu.Unlock()
@@ -361,16 +461,7 @@ func (e *Engine) cachedParse(sql string) (sqlparser.Statement, depSnapshot, *pro
 		ent := el.Value.(*stmtCacheEntry)
 		st, deps, progs = ent.st, ent.deps, ent.progs
 	} else {
-		c.m[key] = c.lru.PushFront(&stmtCacheEntry{key: key, st: st, deps: deps, progs: progs})
-		for c.lru.Len() > c.max {
-			back := c.lru.Back()
-			c.lru.Remove(back)
-			delete(c.m, back.Value.(*stmtCacheEntry).key)
-			c.evictions.Add(1)
-			if r := e.metrics.Load(); r != nil {
-				r.Counter("sqloop_stmt_cache_evictions").Inc()
-			}
-		}
+		c.add(e, &stmtCacheEntry{key: key, st: st, deps: deps, progs: progs})
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)

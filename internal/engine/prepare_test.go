@@ -154,3 +154,76 @@ func TestStmtCacheDisabled(t *testing.T) {
 		t.Fatalf("disabled cache reported stats %+v after prepared execution", st)
 	}
 }
+
+// TestStmtCacheOneShotsStayOnProbation runs rounds of a few repeated
+// templates among many statements that each run once: the one-shots
+// pass through the small probation segment without evicting the
+// templates, which hit from their third round on (the second brings
+// them back from the ghost set straight into the protected segment).
+func TestStmtCacheOneShotsStayOnProbation(t *testing.T) {
+	eng := New(Config{StmtCacheSize: 16})
+	s := eng.NewSession()
+	mustExec(t, s, `CREATE TABLE t (a BIGINT)`)
+	oneShot := 0
+	round := func() {
+		for k := 1; k <= 4; k++ {
+			mustExec(t, s, fmt.Sprintf(`SELECT a FROM t WHERE a = %d`, k))
+		}
+		for i := 0; i < 20; i++ {
+			oneShot++
+			mustExec(t, s, fmt.Sprintf(`SELECT a + %d FROM t`, oneShot))
+		}
+	}
+	round()
+	round()
+	before := eng.StmtCacheStats()
+	for r := 0; r < 3; r++ {
+		round()
+	}
+	st := eng.StmtCacheStats()
+	if hits := st.Hits - before.Hits; hits != 12 {
+		t.Errorf("template hits over three rounds = %d, want 12", hits)
+	}
+	if st.Size > 16 {
+		t.Errorf("cache size = %d, exceeds configured max 16", st.Size)
+	}
+}
+
+// TestDroppedObjectsForgetTheirGenerations creates and drops a table
+// and its index per round, as an iterative execution does with its
+// message tables: the generation counters of dropped objects go with
+// them, and a statement cached over a dropped table still re-parses
+// once a table of that name exists again.
+func TestDroppedObjectsForgetTheirGenerations(t *testing.T) {
+	eng := New(Config{})
+	s := eng.NewSession()
+	counters := func() int {
+		n := 0
+		eng.objGens.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	for i := 0; i < 100; i++ {
+		mustExec(t, s, fmt.Sprintf(`CREATE TABLE msg%d (id BIGINT, part BIGINT)`, i))
+		mustExec(t, s, fmt.Sprintf(`CREATE INDEX msg%d_part ON msg%d (part)`, i, i))
+		mustExec(t, s, fmt.Sprintf(`SELECT id FROM msg%d WHERE part = 1`, i))
+		mustExec(t, s, fmt.Sprintf(`DROP TABLE msg%d`, i))
+	}
+	if n := counters(); n != 0 {
+		t.Errorf("%d generation counters left after dropping every table", n)
+	}
+
+	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v BIGINT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 10)`)
+	mustExec(t, s, `SELECT v FROM t`)
+	mustExec(t, s, `DROP TABLE t`)
+	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, w BIGINT, v BIGINT)`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 7, 20)`)
+	before := eng.StmtCacheStats()
+	res := mustExec(t, s, `SELECT v FROM t`)
+	if got := res.Rows[0][0].Int(); got != 20 {
+		t.Fatalf("v = %d after re-creating t, want 20", got)
+	}
+	if eng.StmtCacheStats().Hits != before.Hits {
+		t.Error("statement cached over the dropped t was served without re-parsing")
+	}
+}

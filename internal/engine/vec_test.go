@@ -153,9 +153,9 @@ func TestVecFallbackReproducesRowErrors(t *testing.T) {
 		mustExec(t, s, `INSERT INTO t VALUES (1, 2), (2, 0), (3, 4)`)
 	})
 	for _, q := range []string{
-		`SELECT a FROM t WHERE 10 / b > 1`,       // filter kernel error
-		`SELECT a, 10 / b FROM t`,                // projection kernel error
-		`SELECT b, SUM(10 / b) FROM t GROUP BY b`, // grouped argument error
+		`SELECT a FROM t WHERE 10 / b > 1`,                     // filter kernel error
+		`SELECT a, 10 / b FROM t`,                              // projection kernel error
+		`SELECT b, SUM(10 / b) FROM t GROUP BY b`,              // grouped argument error
 		`SELECT x.a FROM t AS x JOIN t AS y ON 10 / x.b = y.a`, // probe key error
 	} {
 		_, err1 := vecOn.Exec(q)

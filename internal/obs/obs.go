@@ -169,19 +169,20 @@ type Checkpoint struct {
 // Name implements Event.
 func (Checkpoint) Name() string { return "checkpoint" }
 
-// ShardExchange is emitted once per source shard per exchange wave of
-// a sharded execution: the rows this shard's message tables emitted for
-// keys owned by other shards, routed to their owners between rounds.
+// ShardExchange is emitted once per Compute task of a sharded
+// execution that shipped rows: the rows its message table emitted for
+// keys owned by other shards, routed to their owners.
 type ShardExchange struct {
-	// Round is the 1-based round (or async cycle) the exchange follows.
+	// Round is the 1-based round the exchanging task ran in (under the
+	// async schedulers, the round in progress when it was dispatched).
 	Round int
 	// Shard is the source shard index the rows were read from.
 	Shard int
 	// Rows is how many rows left this shard for other shards.
 	Rows int64
-	// Tables is the number of message tables drained on this shard.
+	// Tables is the number of message tables the rows were read from.
 	Tables int
-	// Duration is the wall time of the read+route+insert wave.
+	// Duration is the wall time of reading, routing and encoding them.
 	Duration time.Duration
 }
 
@@ -226,26 +227,6 @@ type ShardRebalance struct {
 
 // Name implements Event.
 func (ShardRebalance) Name() string { return "shard_rebalance" }
-
-// ShardHandoff is emitted when the prioritized async scheduler offloads
-// the slowest shard's pending delta queue: the straggler's undelivered
-// message rows are combined on a helper shard and handed back as one
-// pre-aggregated message table.
-type ShardHandoff struct {
-	// Round is the async cycle the handoff happened in.
-	Round int
-	// From is the straggler shard whose pending queue was offloaded.
-	From int
-	// To is the helper shard that combined the rows.
-	To int
-	// Tables is how many pending message tables were folded into one.
-	Tables int
-	// Rows is how many pending rows were shipped to the helper.
-	Rows int64
-}
-
-// Name implements Event.
-func (ShardHandoff) Name() string { return "shard_handoff" }
 
 // Restore is emitted when an execution starts from a snapshot instead
 // of the seed query.

@@ -70,9 +70,9 @@ func Route(b Batch, keyCol, n int) ([]Batch, error) {
 
 // Merge concatenates batches sharing one column layout into a single
 // batch, preserving row order across inputs. The elastic repartition
-// and straggler-handoff paths use it to fold per-source batches into
-// one shippable unit; empty inputs contribute nothing and a zero-batch
-// input list yields the zero Batch.
+// uses it to fold per-source batches into one shippable unit; empty
+// inputs contribute nothing and a zero-batch input list yields the zero
+// Batch.
 func Merge(batches ...Batch) (Batch, error) {
 	var out Batch
 	for _, b := range batches {

@@ -65,8 +65,8 @@ type (
 	// table and exchanging deltas between rounds.
 	ShardGroup = core.ShardGroup
 	// ShardGroupOptions configures a group's elastic behaviour: standby
-	// replicas for failover and growth, scheduled online repartitions,
-	// and AsyncP straggler work handoff.
+	// replicas for failover and growth, and scheduled online
+	// repartitions.
 	ShardGroupOptions = core.ShardGroupOptions
 	// RebalanceStep is one scheduled online repartition (change the
 	// shard count after a given round completes).
@@ -138,7 +138,6 @@ type (
 	ShardExchangeEvent    = obs.ShardExchange
 	ShardFailoverEvent    = obs.ShardFailover
 	ShardRebalanceEvent   = obs.ShardRebalance
-	ShardHandoffEvent     = obs.ShardHandoff
 )
 
 // MultiTracer fans events out to every non-nil tracer.
