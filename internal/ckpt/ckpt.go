@@ -11,7 +11,10 @@
 // snapshot restores against any engine reachable through database/sql.
 // The on-disk format is versioned, CRC-checksummed and written through
 // an atomic rename, so a crash during Save never leaves a snapshot a
-// later run could half-read.
+// later run could half-read. The payload is the snapshot's metadata as
+// JSON (length-prefixed) followed by every table's rows in a compact
+// binary form: a row count, then one tagged value per column — null,
+// varint integer, 8-byte float, length-prefixed string or bool.
 package ckpt
 
 import (
@@ -31,8 +34,10 @@ import (
 )
 
 // Version is the current snapshot payload version. Decoders reject
-// snapshots written by a newer version instead of misreading them.
-const Version = 1
+// snapshots of any other version instead of misreading them; version 1
+// (all-JSON rows) is no longer read, so its files are discarded and
+// their queries start over.
+const Version = 2
 
 // magic identifies a SQLoop checkpoint file. The trailing newline makes
 // accidental text files fail fast.
@@ -41,6 +46,10 @@ const magic = "SQLCKPT\n"
 // maxPayload bounds a snapshot payload (1 GiB); anything larger is a
 // corrupt length field, not a real checkpoint.
 const maxPayload = 1 << 30
+
+// headerLen is the size of the file header: magic, version, payload
+// length and payload CRC.
+const headerLen = 20
 
 // fileExt is the snapshot file suffix inside a Store directory.
 const fileExt = ".ckpt"
@@ -67,10 +76,8 @@ type Snapshot struct {
 	// CTE is the CTE's declared name.
 	CTE string `json:"cte"`
 	// Token is the per-execution working-table namespace token the
-	// snapshot's table names were minted under. Empty for snapshots
-	// from before tokens existed; restoring with an empty token
-	// reproduces the historical (un-namespaced) table names, so old
-	// snapshots stay loadable without a version bump.
+	// snapshot's table names were minted under; a restored run adopts
+	// it.
 	Token string `json:"token,omitempty"`
 	// Round is the last completed round; a resumed run continues from
 	// Round instead of 0.
@@ -85,8 +92,7 @@ type Snapshot struct {
 	// at 0 and each failover or online repartition increments it, so the
 	// newest snapshot under a group's stable key always carries the
 	// highest epoch and resume after a topology change is well-defined.
-	// Zero for single-instance snapshots (and for pre-epoch files, which
-	// therefore stay loadable without a version bump).
+	// Zero for single-instance snapshots.
 	Epoch int64 `json:"epoch,omitempty"`
 	// PartRounds is the per-partition completed round count of an
 	// asynchronous run (partitions run ahead of the global round).
@@ -99,98 +105,13 @@ type Snapshot struct {
 	CreatedAt time.Time `json:"createdAt"`
 }
 
-// TableState is one captured working table.
+// TableState is one captured working table. Every row holds one
+// scalar per column: nil (SQL NULL), int64, float64, string or bool.
+// Encode also accepts int and []byte, which decode as int64 and string.
 type TableState struct {
-	Name    string    `json:"name"`
-	Columns []string  `json:"columns"`
-	Rows    [][]Value `json:"rows"`
-}
-
-// Value is the JSON encoding of one SQL scalar. Exactly one pointer
-// field is set, or all nil for SQL NULL; non-finite floats ride in
-// Special because JSON has no literal for them.
-type Value struct {
-	Int     *int64   `json:"i,omitempty"`
-	Float   *float64 `json:"f,omitempty"`
-	Str     *string  `json:"s,omitempty"`
-	Bool    *bool    `json:"b,omitempty"`
-	Special string   `json:"x,omitempty"` // "+inf" | "-inf" | "nan"
-}
-
-// EncodeValue converts a database/sql scan value for storage.
-func EncodeValue(v any) (Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return Value{}, nil
-	case int64:
-		return Value{Int: &x}, nil
-	case int:
-		i := int64(x)
-		return Value{Int: &i}, nil
-	case float64:
-		switch {
-		case math.IsInf(x, 1):
-			return Value{Special: "+inf"}, nil
-		case math.IsInf(x, -1):
-			return Value{Special: "-inf"}, nil
-		case math.IsNaN(x):
-			return Value{Special: "nan"}, nil
-		default:
-			return Value{Float: &x}, nil
-		}
-	case string:
-		return Value{Str: &x}, nil
-	case []byte:
-		s := string(x)
-		return Value{Str: &s}, nil
-	case bool:
-		return Value{Bool: &x}, nil
-	default:
-		return Value{}, fmt.Errorf("ckpt: unsupported value type %T", v)
-	}
-}
-
-// Decode converts a stored value back to its Go scalar.
-func (v Value) Decode() (any, error) {
-	set := 0
-	if v.Int != nil {
-		set++
-	}
-	if v.Float != nil {
-		set++
-	}
-	if v.Str != nil {
-		set++
-	}
-	if v.Bool != nil {
-		set++
-	}
-	if v.Special != "" {
-		set++
-	}
-	if set > 1 {
-		return nil, fmt.Errorf("ckpt: value sets %d fields", set)
-	}
-	switch {
-	case v.Int != nil:
-		return *v.Int, nil
-	case v.Float != nil:
-		return *v.Float, nil
-	case v.Str != nil:
-		return *v.Str, nil
-	case v.Bool != nil:
-		return *v.Bool, nil
-	case v.Special == "+inf":
-		return math.Inf(1), nil
-	case v.Special == "-inf":
-		return math.Inf(-1), nil
-	case v.Special == "nan":
-		return math.NaN(), nil
-	case v.Special != "":
-		return nil, fmt.Errorf("ckpt: unknown special value %q", v.Special)
-	default:
-		return nil, nil
-	}
+	Name    string   `json:"name"`
+	Columns []string `json:"columns"`
+	Rows    [][]any  `json:"-"` // binary-encoded after the metadata
 }
 
 // Key derives the snapshot identity from the normalized query text, the
@@ -208,33 +129,39 @@ func Key(query, mode, dsn string) string {
 }
 
 // Encode writes one snapshot: magic, version, payload length, CRC-32
-// (IEEE) of the payload, then the JSON payload. It returns the total
-// bytes written.
+// (IEEE) of the payload, then the payload. It returns the total bytes
+// written.
 func Encode(w io.Writer, s *Snapshot) (int64, error) {
-	payload, err := json.Marshal(s)
+	meta, err := json.Marshal(s)
 	if err != nil {
 		return 0, fmt.Errorf("ckpt: marshal: %w", err)
 	}
+	b := make([]byte, headerLen, headerLen+binary.MaxVarintLen64+len(meta))
+	b = binary.AppendUvarint(b, uint64(len(meta)))
+	b = append(b, meta...)
+	for _, ts := range s.Tables {
+		if b, err = appendRows(b, ts); err != nil {
+			return 0, err
+		}
+	}
+	payload := b[headerLen:]
 	if len(payload) > maxPayload {
 		return 0, fmt.Errorf("ckpt: snapshot of %d bytes exceeds limit", len(payload))
 	}
-	var hdr [20]byte
-	copy(hdr[:8], magic)
-	binary.BigEndian.PutUint32(hdr[8:12], Version)
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("ckpt: write header: %w", err)
+	copy(b, magic)
+	binary.BigEndian.PutUint32(b[8:12], Version)
+	binary.BigEndian.PutUint32(b[12:16], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[16:20], crc32.ChecksumIEEE(payload))
+	n, err := w.Write(b)
+	if err != nil {
+		return int64(n), fmt.Errorf("ckpt: write: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return int64(len(hdr)), fmt.Errorf("ckpt: write payload: %w", err)
-	}
-	return int64(len(hdr) + len(payload)), nil
+	return int64(n), nil
 }
 
 // Decode reads and validates one snapshot.
 func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [20]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, &CorruptError{Reason: "truncated header"}
 	}
@@ -249,18 +176,143 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, &CorruptError{Reason: fmt.Sprintf("payload length %d exceeds limit", n)}
 	}
 	sum := binary.BigEndian.Uint32(hdr[16:20])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read up to the declared length rather than allocating it up front:
+	// a damaged length field must not cost a 1 GiB buffer.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil || len(payload) != int(n) {
 		return nil, &CorruptError{Reason: "truncated payload"}
 	}
 	if crc32.ChecksumIEEE(payload) != sum {
 		return nil, &CorruptError{Reason: "checksum mismatch"}
 	}
+	metaLen, k := binary.Uvarint(payload)
+	if k <= 0 || metaLen > uint64(len(payload)-k) {
+		return nil, &CorruptError{Reason: "bad metadata length"}
+	}
+	rest := payload[k+int(metaLen):]
 	var s Snapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
+	if err := json.Unmarshal(payload[k:k+int(metaLen)], &s); err != nil {
 		return nil, &CorruptError{Reason: "unmarshal: " + err.Error()}
 	}
+	for i := range s.Tables {
+		var err error
+		if s.Tables[i].Rows, rest, err = readRows(rest, len(s.Tables[i].Columns)); err != nil {
+			return nil, &CorruptError{Reason: fmt.Sprintf("table %q: %v", s.Tables[i].Name, err)}
+		}
+	}
+	if len(rest) != 0 {
+		return nil, &CorruptError{Reason: fmt.Sprintf("%d trailing bytes", len(rest))}
+	}
 	return &s, nil
+}
+
+// Value tags of the binary row encoding.
+const (
+	tagNull   byte = iota
+	tagInt         // zig-zag varint
+	tagFloat       // 8 bytes, IEEE 754 bits, little endian
+	tagString      // uvarint length, then the bytes
+	tagFalse
+	tagTrue
+)
+
+// appendRows appends one table's rows: a uvarint row count, then each
+// row's values, one per column (a row has at least one).
+func appendRows(b []byte, ts TableState) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(ts.Rows)))
+	for _, row := range ts.Rows {
+		if len(row) != len(ts.Columns) || len(row) == 0 {
+			return nil, fmt.Errorf("ckpt: table %q: row of %d values for %d columns", ts.Name, len(row), len(ts.Columns))
+		}
+		for _, v := range row {
+			var err error
+			if b, err = appendValue(b, v); err != nil {
+				return nil, fmt.Errorf("ckpt: table %q: %w", ts.Name, err)
+			}
+		}
+	}
+	return b, nil
+}
+
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch x := v.(type) {
+	case nil:
+		return append(b, tagNull), nil
+	case int64:
+		return binary.AppendVarint(append(b, tagInt), x), nil
+	case int:
+		return binary.AppendVarint(append(b, tagInt), int64(x)), nil
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(b, tagFloat), math.Float64bits(x)), nil
+	case string:
+		return append(binary.AppendUvarint(append(b, tagString), uint64(len(x))), x...), nil
+	case []byte:
+		return append(binary.AppendUvarint(append(b, tagString), uint64(len(x))), x...), nil
+	case bool:
+		if x {
+			return append(b, tagTrue), nil
+		}
+		return append(b, tagFalse), nil
+	default:
+		return nil, fmt.Errorf("unsupported value type %T", v)
+	}
+}
+
+// readRows decodes one table's rows of width cols from the front of b,
+// returning the rest. Zero rows decode as nil.
+func readRows(b []byte, cols int) ([][]any, []byte, error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 {
+		return nil, nil, fmt.Errorf("bad row count")
+	}
+	if b = b[k:]; n == 0 {
+		return nil, b, nil
+	}
+	// Every value takes at least one byte, which bounds the allocation
+	// by the payload size.
+	if cols == 0 || n > uint64(len(b)/cols) {
+		return nil, nil, fmt.Errorf("%d rows of %d values overrun the payload", n, cols)
+	}
+	vals := make([]any, int(n)*cols)
+	for i := range vals {
+		var err error
+		if vals[i], b, err = readValue(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	rows := make([][]any, n)
+	for i := range rows {
+		rows[i] = vals[i*cols : (i+1)*cols : (i+1)*cols]
+	}
+	return rows, b, nil
+}
+
+func readValue(b []byte) (any, []byte, error) {
+	if len(b) == 0 {
+		return nil, nil, fmt.Errorf("truncated row")
+	}
+	tag, b := b[0], b[1:]
+	switch tag {
+	case tagNull:
+		return nil, b, nil
+	case tagFalse, tagTrue:
+		return tag == tagTrue, b, nil
+	case tagInt:
+		if x, k := binary.Varint(b); k > 0 {
+			return x, b[k:], nil
+		}
+	case tagFloat:
+		if len(b) >= 8 {
+			return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
+		}
+	case tagString:
+		if l, k := binary.Uvarint(b); k > 0 && l <= uint64(len(b)-k) {
+			return string(b[k : k+int(l)]), b[k+int(l):], nil
+		}
+	default:
+		return nil, nil, fmt.Errorf("unknown value tag %d", tag)
+	}
+	return nil, nil, fmt.Errorf("truncated value of tag %d", tag)
 }
 
 // Info describes one stored snapshot (for listing, e.g. the CLI's

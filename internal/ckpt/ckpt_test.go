@@ -2,7 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,12 +15,10 @@ import (
 	"time"
 )
 
-// sampleSnapshot builds a snapshot exercising every value kind.
+// sampleSnapshot builds a snapshot exercising every value kind (NaN,
+// which reflect.DeepEqual cannot compare, is covered by
+// TestScalarRoundTrip).
 func sampleSnapshot() *Snapshot {
-	i := int64(42)
-	f := 3.5
-	s := "node-1"
-	b := true
 	return &Snapshot{
 		Key:        Key("SELECT 1", "async", "sqlsim://tcp/127.0.0.1:1"),
 		Query:      "SELECT 1",
@@ -31,10 +33,10 @@ func sampleSnapshot() *Snapshot {
 			{
 				Name:    "sqloop_pr_pt0",
 				Columns: []string{"id", "rank", "delta"},
-				Rows: [][]Value{
-					{{Int: &i}, {Float: &f}, {Str: &s}},
-					{{Bool: &b}, {Special: "+inf"}, {}},
-					{{Special: "-inf"}, {Special: "nan"}, {Int: &i}},
+				Rows: [][]any{
+					{int64(42), 3.5, "node-1"},
+					{true, math.Inf(1), nil},
+					{math.Inf(-1), false, int64(-42)},
 				},
 			},
 			{Name: "sqloop_pr_pt1", Columns: []string{"id"}, Rows: nil},
@@ -93,43 +95,102 @@ func flipByte(b []byte, i int) []byte {
 	return out
 }
 
-func TestValueEncodeDecode(t *testing.T) {
-	for _, v := range []any{nil, int64(7), 2.25, "x", true, math.Inf(1), math.Inf(-1)} {
-		enc, err := EncodeValue(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := enc.Decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, v) {
-			t.Errorf("value %v round-tripped to %v", v, got)
-		}
+// roundTripRow encodes one row through a snapshot and decodes it back.
+func roundTripRow(t *testing.T, row []any) []any {
+	t.Helper()
+	cols := make([]string, len(row))
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
 	}
-	// NaN compares unequal to itself; check the kind explicitly.
-	enc, err := EncodeValue(math.NaN())
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, &Snapshot{Key: "k", Tables: []TableState{{Name: "t", Columns: cols, Rows: [][]any{row}}}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := enc.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := got.(float64); !ok || !math.IsNaN(f) {
-		t.Errorf("NaN round-tripped to %v", got)
+	return got.Tables[0].Rows[0]
+}
+
+// TestScalarRoundTrip pins the binary value encoding bit for bit,
+// including the floats JSON cannot spell and the integer extremes.
+func TestScalarRoundTrip(t *testing.T) {
+	in := []any{nil, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0.1,
+		int64(math.MinInt64), int64(math.MaxInt64), int64(0), "", "a\x00b", true, false}
+	got := roundTripRow(t, in)
+	for i, want := range in {
+		switch w := want.(type) {
+		case float64:
+			g, ok := got[i].(float64)
+			if !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Errorf("value %d: %v (%T) round-tripped to %v (%T)", i, w, w, got[i], got[i])
+			}
+		default:
+			if got[i] != want {
+				t.Errorf("value %d: %#v round-tripped to %#v", i, want, got[i])
+			}
+		}
 	}
 	// []byte flattens to string (database/sql hands text back as bytes
-	// with some drivers).
-	enc, err = EncodeValue([]byte("bs"))
+	// with some drivers) and int widens to int64.
+	if got := roundTripRow(t, []any{[]byte("bs"), 7}); got[0] != "bs" || got[1] != int64(7) {
+		t.Errorf("[]byte, int round-tripped to %#v", got)
+	}
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, &Snapshot{Tables: []TableState{{Name: "t", Columns: []string{"c"}, Rows: [][]any{{struct{}{}}}}}}); err == nil {
+		t.Error("Encode accepted a struct value")
+	}
+	if _, err := Encode(&buf, &Snapshot{Tables: []TableState{{Name: "t", Columns: []string{"c"}, Rows: [][]any{{1, 2}}}}}); err == nil {
+		t.Error("Encode accepted a row wider than its columns")
+	}
+}
+
+// frameFile wraps payload in a file header with a valid length and
+// checksum, so the payload decoder itself must catch the damage.
+func frameFile(version uint32, payload []byte) []byte {
+	b := []byte(magic)
+	b = binary.BigEndian.AppendUint32(b, version)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// TestDecodeRejectsMalformedRows damages the row section under a valid
+// checksum: every case must fail as a CorruptError, never panic or
+// decode.
+func TestDecodeRejectsMalformedRows(t *testing.T) {
+	meta := []byte(`{"key":"k","tables":[{"name":"t","columns":["a","b"]}]}`)
+	payload := func(rows ...byte) []byte {
+		return append(append(binary.AppendUvarint(nil, uint64(len(meta))), meta...), rows...)
+	}
+	good := payload(1, tagInt, 2, tagString, 1, 'x')
+	if _, err := Decode(bytes.NewReader(frameFile(Version, good))); err != nil {
+		t.Fatalf("well-formed payload rejected: %v", err)
+	}
+	v1, err := json.Marshal(map[string]any{"key": "k", "round": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := enc.Decode(); got != "bs" {
-		t.Errorf("[]byte round-tripped to %v", got)
+	cases := map[string][]byte{
+		"version 1 file":      frameFile(1, v1),
+		"no row section":      frameFile(Version, payload()),
+		"truncated row":       frameFile(Version, payload(1, tagInt, 2)),
+		"truncated float":     frameFile(Version, payload(1, tagFloat, 0, 0, 0, tagNull)),
+		"truncated string":    frameFile(Version, payload(1, tagNull, tagString, 5, 'a', 'b')),
+		"overlong varint":     frameFile(Version, payload(1, tagInt, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, tagNull)),
+		"unknown tag":         frameFile(Version, payload(1, tagNull, 0x7f)),
+		"trailing bytes":      frameFile(Version, append(append([]byte(nil), good...), 0)),
+		"row count overrun":   frameFile(Version, payload(0xe8, 0x07, tagNull, tagNull)),
+		"bad metadata length": frameFile(Version, []byte{0xff, 0xff, 0x03, '{', '}'}),
+		"bad metadata":        frameFile(Version, []byte{2, '{', '['}),
 	}
-	if _, err := EncodeValue(struct{}{}); err == nil {
-		t.Error("EncodeValue accepted a struct")
+	for name, data := range cases {
+		_, err := Decode(bytes.NewReader(data))
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: want CorruptError, got %v", name, err)
+		}
 	}
 }
 
@@ -253,12 +314,11 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 // groupSnapshot builds a 4-partition sharded group snapshot: one
 // working table per partition plus per-partition round counters.
 func groupSnapshot() *Snapshot {
-	iv := func(n int64) Value { return Value{Int: &n} }
 	tables := make([]TableState, 4)
 	for p := range tables {
-		rows := make([][]Value, 0, 8)
+		rows := make([][]any, 0, 8)
 		for r := 0; r < 8; r++ {
-			rows = append(rows, []Value{iv(int64(p*100 + r)), iv(int64(r))})
+			rows = append(rows, []any{int64(p*100 + r), int64(r)})
 		}
 		tables[p] = TableState{
 			Name:    "sqloop_shard_part" + string(rune('0'+p)),

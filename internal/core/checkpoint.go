@@ -60,12 +60,6 @@ func (r *ckptRun) execToken() string {
 	if r.token == "" {
 		if r.resumed != nil {
 			r.token = r.resumed.Token
-			// Pre-token snapshots carry no token; adopting "" would
-			// collapse to the un-namespaced legacy names they were
-			// written under, which is exactly what restoring them needs.
-			if r.token == "" {
-				return r.token
-			}
 		} else {
 			r.token = newExecToken()
 		}
@@ -163,19 +157,7 @@ func (r *ckptRun) readTable(ctx context.Context, c *dbConn, name string) (ckpt.T
 	if err != nil {
 		return ckpt.TableState{}, err
 	}
-	ts := ckpt.TableState{Name: name, Columns: res.Columns, Rows: make([][]ckpt.Value, len(res.Rows))}
-	for i, row := range res.Rows {
-		enc := make([]ckpt.Value, len(row))
-		for j, v := range row {
-			ev, err := ckpt.EncodeValue(v)
-			if err != nil {
-				return ckpt.TableState{}, fmt.Errorf("checkpoint %s: %w", name, err)
-			}
-			enc[j] = ev
-		}
-		ts.Rows[i] = enc
-	}
-	return ts, nil
+	return ckpt.TableState{Name: name, Columns: res.Columns, Rows: res.Rows}, nil
 }
 
 // restoreTable recreates one table from snapshot state, batching rows
@@ -187,18 +169,7 @@ func (r *ckptRun) restoreTable(ctx context.Context, c *dbConn, ts ckpt.TableStat
 	if _, err := c.runStmt(ctx, createAnyTable(ts.Name, ts.Columns, pk)); err != nil {
 		return err
 	}
-	rows := make([][]any, len(ts.Rows))
-	for i, row := range ts.Rows {
-		rows[i] = make([]any, len(row))
-		for j, v := range row {
-			gv, err := v.Decode()
-			if err != nil {
-				return fmt.Errorf("restore %s: %w", ts.Name, err)
-			}
-			rows[i][j] = gv
-		}
-	}
-	if err := insertRows(ctx, c, ts.Name, rows); err != nil {
+	if err := insertRows(ctx, c, ts.Name, ts.Rows); err != nil {
 		return fmt.Errorf("restore %s: %w", ts.Name, err)
 	}
 	return nil

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -236,4 +238,55 @@ func TestCheckpointDisabledErrors(t *testing.T) {
 	if _, err := s.ResumeQuery(context.Background(), fmt.Sprintf(pageRankCTE, 2)); err == nil {
 		t.Fatal("ResumeQuery with checkpointing disabled did not error")
 	}
+}
+
+// TestCheckpointV1SnapshotDiscarded puts a version-1 (all-JSON)
+// snapshot of the query, claiming a late round, where the query looks
+// for its checkpoint: the run must discard it, start from round 0 and
+// return the uninterrupted answer.
+func TestCheckpointV1SnapshotDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	keeper := newSnapshotKeeper(dir)
+	rec := &obs.Recorder{}
+	s := newTestLoop(t, Options{
+		Mode: ModeSync, Partitions: 4, Threads: 2,
+		Observer:   obs.Multi(rec, keeper),
+		Checkpoint: CheckpointOptions{Dir: dir, EveryRounds: 1},
+	}, true)
+	ctx := context.Background()
+	query := fmt.Sprintf(pageRankCTE, 6)
+	res, err := s.Exec(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rankMap(t, res)
+	if len(keeper.files) != 1 {
+		t.Fatalf("captured %d snapshot files, want 1", len(keeper.files))
+	}
+	for name := range keeper.files {
+		key := strings.TrimSuffix(name, ".ckpt")
+		payload := []byte(`{"key":"` + key + `","mode":"sync","cte":"PageRank","round":5,` +
+			`"partitions":4,"partRounds":[5,5,5,5],"columns":["Node","Rank","Delta"],` +
+			`"tables":[{"name":"sqloop_pagerank_p0","columns":["Node","Rank","Delta"],` +
+			`"rows":[[{"i":1},{"f":0.5},{"x":"+inf"}]]}]}`)
+		b := []byte("SQLCKPT\n")
+		b = binary.BigEndian.AppendUint32(b, 1)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+		b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		if err := os.WriteFile(filepath.Join(dir, name), append(b, payload...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res2, err := s.Exec(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Stats.ResumedFromRound != 0 || rec.Count("restore") != 0 {
+		t.Fatalf("v1 snapshot was restored: ResumedFromRound = %d, %d restore events",
+			res2.Stats.ResumedFromRound, rec.Count("restore"))
+	}
+	if res2.Stats.Iterations != 6 {
+		t.Fatalf("Iterations = %d, want 6 from round 0", res2.Stats.Iterations)
+	}
+	sameRanks(t, want, rankMap(t, res2))
 }

@@ -65,15 +65,6 @@ func (s *SQLoop) execRecursive(ctx context.Context, cte *sqlparser.LoopCTEStmt) 
 	if _, err := c.runStmt(ctx, dropTable(rUser)); err != nil {
 		return nil, err
 	}
-	if tok == "" {
-		// Restoring a pre-token snapshot: the legacy working names come
-		// back into use, so stale copies must go first.
-		for _, n := range []string{workName, nextName} {
-			if _, err := c.runStmt(ctx, dropTable(n)); err != nil {
-				return nil, err
-			}
-		}
-	}
 
 	var cols []string
 	iters := 0
@@ -239,24 +230,18 @@ func (s *SQLoop) runFinal(ctx context.Context, c *dbConn, cte *sqlparser.LoopCTE
 // execution's view), and execution correctness never depends on it —
 // every internal reference is retargeted at the tokenized tables.
 func publishAdvisoryView(ctx context.Context, c *dbConn, user, phys string) {
-	if user == phys {
-		return
-	}
 	_, _ = c.runStmt(ctx, dropView(user))
 	_, _ = c.runStmt(ctx, &sqlparser.CreateViewStmt{Name: user, Body: selectStar(phys)})
 }
 
 // materializeKeepTable re-publishes the final R under the user-visible
 // CTE name for Options.KeepTable, replacing whatever holds the name.
-// No-op when the working table already is the user name (legacy,
-// token-less executions).
+// The kept table is logged, unlike the working tables: it is the
+// acknowledged result, so an engine restart must not lose it.
 func materializeKeepTable(ctx context.Context, c *dbConn, user, phys string) {
-	if user == phys {
-		return
-	}
 	_, _ = c.runStmt(ctx, dropView(user))
 	_, _ = c.runStmt(ctx, dropTable(user))
-	_, _ = c.runStmt(ctx, &sqlparser.CreateTableStmt{Name: user, AsSelect: selectStar(phys), Unlogged: true})
+	_, _ = c.runStmt(ctx, &sqlparser.CreateTableStmt{Name: user, AsSelect: selectStar(phys)})
 	_, _ = c.runStmt(ctx, dropTable(phys))
 }
 
@@ -343,13 +328,6 @@ func (s *SQLoop) execIterativeSingle(ctx context.Context, cte *sqlparser.LoopCTE
 	}
 	if _, err := c.runStmt(ctx, dropTable(rUser)); err != nil {
 		return nil, err
-	}
-	if tok == "" {
-		for _, n := range []string{tmpName, deltaTableName(tok, cte.Name)} {
-			if _, err := c.runStmt(ctx, dropTable(n)); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	var cols []string

@@ -18,7 +18,7 @@ import (
 // concurrent executions of same-named CTEs cannot clobber each other's
 // state; an empty token collapses every name to the historical layout
 // (R and Rdelta under user-visible names, §III-B), which is what
-// GenerateScript emits and what pre-token checkpoints restore to.
+// GenerateScript emits.
 
 // newExecToken mints the per-execution namespace token. It is a
 // variable so tests can pin a deterministic token.

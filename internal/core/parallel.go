@@ -373,11 +373,6 @@ func (s *SQLoop) execIterativeParallel(ctx context.Context, cte *sqlparser.LoopC
 	if _, err := coord.runStmt(ctx, dropTable(rUser)); err != nil {
 		return nil, err
 	}
-	if tok == "" {
-		if _, err := coord.runStmt(ctx, dropTable(deltaTableName(tok, cte.Name))); err != nil {
-			return nil, err
-		}
-	}
 
 	var cols []string
 	if ck.restoring() {

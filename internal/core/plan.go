@@ -425,17 +425,13 @@ func (pl *plan) gatherStmt(x int, msgTables []string) sqlparser.Statement {
 	return upd
 }
 
-// keepStmts re-materialize the CTE's final contents as a real table
-// under the user-visible name (for Options.KeepTable) before the
+// keepStmts re-materialize the CTE's final contents as a real, logged
+// table under the user-visible name (for Options.KeepTable) before the
 // partitions are dropped.
 func (pl *plan) keepStmts() []sqlparser.Statement {
 	user := strings.ToLower(pl.cte.Name)
-	stmts := []sqlparser.Statement{dropView(pl.rQL)}
-	if user != pl.rQL {
-		stmts = append(stmts, dropView(user), dropTable(user))
-	}
-	stmts = append(stmts, &sqlparser.CreateTableStmt{Name: user, AsSelect: pl.unionBody(), Unlogged: true})
-	return stmts
+	return []sqlparser.Statement{dropView(pl.rQL), dropView(user), dropTable(user),
+		&sqlparser.CreateTableStmt{Name: user, AsSelect: pl.unionBody()}}
 }
 
 // cleanupStmts drop every working object (message tables are handled by

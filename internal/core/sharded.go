@@ -829,19 +829,7 @@ func repartitionSnapshot(snap *ckpt.Snapshot, pl *plan) error {
 		if cols == nil {
 			cols = ts.Columns
 		}
-		rows := make([][]any, len(ts.Rows))
-		for i, row := range ts.Rows {
-			dec := make([]any, len(row))
-			for j, v := range row {
-				gv, err := v.Decode()
-				if err != nil {
-					return fmt.Errorf("core: repartition snapshot %s: %w", ts.Name, err)
-				}
-				dec[j] = gv
-			}
-			rows[i] = dec
-		}
-		batches = append(batches, shard.Batch{Columns: ts.Columns, Rows: rows})
+		batches = append(batches, shard.Batch{Columns: ts.Columns, Rows: ts.Rows})
 	}
 	all, err := shard.Merge(batches...)
 	if err != nil {
@@ -856,20 +844,7 @@ func repartitionSnapshot(snap *ckpt.Snapshot, pl *plan) error {
 	}
 	tables := make([]ckpt.TableState, S)
 	for s := 0; s < S; s++ {
-		ts := ckpt.TableState{Name: pl.partName(s), Columns: all.Columns,
-			Rows: make([][]ckpt.Value, len(parts[s].Rows))}
-		for i, row := range parts[s].Rows {
-			enc := make([]ckpt.Value, len(row))
-			for j, v := range row {
-				ev, err := ckpt.EncodeValue(v)
-				if err != nil {
-					return fmt.Errorf("core: repartition snapshot: %w", err)
-				}
-				enc[j] = ev
-			}
-			ts.Rows[i] = enc
-		}
-		tables[s] = ts
+		tables[s] = ckpt.TableState{Name: pl.partName(s), Columns: all.Columns, Rows: parts[s].Rows}
 	}
 	snap.Tables = tables
 	snap.Partitions = S

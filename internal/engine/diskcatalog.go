@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"sqloop/internal/pager"
 	"sqloop/internal/sqltypes"
 	"sqloop/internal/storage"
 )
@@ -14,12 +15,13 @@ import (
 // The pager's table files carry rows but no schemas: the engine's
 // catalog is an in-memory map, so without a manifest a restart would
 // come back with durable data it cannot name (and a re-issued CREATE
-// TABLE would wipe it). On the disk backend every table DDL rewrites
-// catalog.json in the data directory — temp-file + fsync + atomic
-// rename, same discipline as internal/ckpt — and engine.New recovers
-// the catalog from it before accepting statements. Views and hash
-// indexes are session-rebuildable derived state and are deliberately
-// not persisted.
+// TABLE would wipe it). On the disk backend every CREATE and DROP of a
+// logged table rewrites catalog.json in the data directory — temp-file
+// + fsync + atomic rename, same discipline as internal/ckpt — and
+// engine.New recovers the catalog from it before accepting statements.
+// Unlogged tables are not in the manifest: they do not outlive their
+// engine, and recovery deletes their files. Views and hash indexes are
+// session-rebuildable derived state and are deliberately not persisted.
 
 const diskCatalogFile = "catalog.json"
 
@@ -39,10 +41,12 @@ type diskCatalog struct {
 	Tables  []diskCatalogTable `json:"tables"`
 }
 
-// saveDiskCatalog rewrites the manifest from the current catalog map.
-// Caller holds e.mu. A no-op for the in-memory backends.
-func (e *Engine) saveDiskCatalog() error {
-	if e.cfg.Backend != storage.KindDisk {
+// saveDiskCatalog rewrites the manifest from the current catalog map
+// after DDL on table changed. Caller holds e.mu. A no-op for the
+// in-memory backends and for unlogged tables, which the manifest does
+// not name.
+func (e *Engine) saveDiskCatalog(changed *Table) error {
+	if e.cfg.Backend != storage.KindDisk || changed.unlogged {
 		return nil
 	}
 	e.pagerMu.Lock()
@@ -55,6 +59,9 @@ func (e *Engine) saveDiskCatalog() error {
 	}
 	cat := diskCatalog{Version: 1}
 	for _, t := range e.tables {
+		if t.unlogged {
+			continue
+		}
 		ct := diskCatalogTable{Name: t.name, PK: t.pkCol}
 		for _, c := range t.schema.Columns {
 			ct.Columns = append(ct.Columns, diskCatalogColumn{Name: c.Name, Type: c.Type.String()})
@@ -88,15 +95,16 @@ func (e *Engine) saveDiskCatalog() error {
 	return nil
 }
 
-// recoverDiskCatalog reopens every table named in the manifest, called
-// once from New before the engine accepts statements. Missing manifest
-// means a fresh data directory. On any failure the engine refuses all
-// statements (see cachedParse) rather than starting empty over live
-// table files.
+// recoverDiskCatalog deletes the files of every table the manifest does
+// not name — the unlogged tables of an earlier engine — then reopens
+// every table it names, called once from New before the engine accepts
+// statements. Missing manifest means no logged table was ever created.
+// On any failure the engine refuses all statements (see cachedParse)
+// rather than starting empty over live table files.
 func (e *Engine) recoverDiskCatalog() error {
 	b, err := os.ReadFile(filepath.Join(e.cfg.DataDir, diskCatalogFile))
 	if os.IsNotExist(err) {
-		return nil
+		return pager.RemoveOrphans(e.cfg.DataDir, nil)
 	}
 	if err != nil {
 		return err
@@ -107,6 +115,13 @@ func (e *Engine) recoverDiskCatalog() error {
 	}
 	if cat.Version != 1 {
 		return fmt.Errorf("%s: unsupported version %d", diskCatalogFile, cat.Version)
+	}
+	live := make([]string, len(cat.Tables))
+	for i, ct := range cat.Tables {
+		live[i] = ct.Name
+	}
+	if err := pager.RemoveOrphans(e.cfg.DataDir, live); err != nil {
+		return err
 	}
 	db, err := e.pagerDB()
 	if err != nil {

@@ -274,8 +274,9 @@ func (e *Engine) SetMetrics(r *obs.Registry) {
 
 // newStore builds a fresh store of the configured backend. name is the
 // catalog name of the owning table; the disk backend derives its file
-// names from it.
-func (e *Engine) newStore(name string) (storage.Store, error) {
+// names from it and gives an unlogged table no write-ahead log. The
+// in-memory backends ignore logged.
+func (e *Engine) newStore(name string, logged bool) (storage.Store, error) {
 	switch e.cfg.Backend {
 	case storage.KindBTree:
 		return btree.New(), nil
@@ -286,7 +287,7 @@ func (e *Engine) newStore(name string) (storage.Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.CreateStore(name)
+		return db.CreateStore(name, logged)
 	default:
 		return storage.NewHeap(), nil
 	}
@@ -421,6 +422,10 @@ type Table struct {
 	name   string
 	schema *sqltypes.Schema
 	pkCol  int // -1 when keys are synthetic rowids
+	// unlogged tables (CREATE UNLOGGED/TEMP) have no catalog.json entry
+	// and, on the disk backend, no write-ahead log: they live only as
+	// long as the engine that created them.
+	unlogged bool
 
 	mu      sync.RWMutex
 	store   storage.Store

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sqloop/internal/sqlparser"
@@ -189,4 +192,129 @@ func TestDiskBackendTempDir(t *testing.T) {
 	if _, err := os.Stat(dir); err == nil {
 		t.Fatalf("temp dir %s survived Close", dir)
 	}
+}
+
+// TestDiskBackendUnlogged pins the lifetime of UNLOGGED/TEMP tables on
+// the disk backend: no WAL file, no catalog.json entry, and gone —
+// files included — once the engine that made them is closed or
+// abandoned, while a logged table beside them survives both.
+func TestDiskBackendUnlogged(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Backend:         storage.KindDisk,
+		Dialect:         sqlparser.DialectPGSim,
+		DataDir:         dir,
+		BufferPoolPages: 8, // eviction writes the unlogged pages to disk
+	}
+	e := New(cfg)
+	s := e.NewSession()
+	mustExec := func(sess *Session, sql string) *Result {
+		t.Helper()
+		res, err := sess.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return res
+	}
+	mustExec(s, `CREATE TABLE kept (k INT PRIMARY KEY, v TEXT)`)
+	mustExec(s, `CREATE UNLOGGED TABLE scratch (k INT PRIMARY KEY, v TEXT)`)
+	var values strings.Builder
+	for i := 0; i < 2000; i++ {
+		if i > 0 {
+			values.WriteString(", ")
+		}
+		fmt.Fprintf(&values, "(%d, 'row %d')", i, i)
+	}
+	mustExec(s, `INSERT INTO kept VALUES `+values.String())
+	mustExec(s, `INSERT INTO scratch VALUES `+values.String())
+	mustExec(s, `CREATE TEMP TABLE tmp AS SELECT k FROM scratch WHERE k < 10`)
+	mustExec(s, `UPDATE scratch SET v = 'changed' WHERE k < 100`)
+	mustExec(s, `DELETE FROM kept WHERE k >= 1000`)
+
+	for _, f := range []string{"scratch.wal", "tmp.wal"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
+			t.Errorf("unlogged table has %s (stat: %v)", f, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "scratch.pages")); err != nil {
+		t.Fatalf("unlogged page file: %v", err)
+	}
+	requireCatalog := func(dir string) {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, diskCatalogFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cat diskCatalog
+		if err := json.Unmarshal(b, &cat); err != nil {
+			t.Fatal(err)
+		}
+		if len(cat.Tables) != 1 || cat.Tables[0].Name != "kept" {
+			t.Fatalf("catalog names %+v, want only kept", cat.Tables)
+		}
+	}
+	requireCatalog(dir)
+
+	// requireRestarted opens a fresh engine on dir: kept is intact, the
+	// unlogged tables and their files are gone, and re-creating one
+	// starts empty.
+	requireRestarted := func(name, dir string) {
+		t.Helper()
+		c := cfg
+		c.DataDir = dir
+		e2 := New(c)
+		defer e2.Close()
+		s2 := e2.NewSession()
+		res := mustExec(s2, `SELECT COUNT(*), MIN(v), MAX(k) FROM kept`)
+		if got := fmt.Sprintf("%d %s %d", res.Rows[0][0].Int(), res.Rows[0][1].Str(), res.Rows[0][2].Int()); got != "1000 row 0 999" {
+			t.Fatalf("%s: kept = %s", name, got)
+		}
+		for _, tbl := range []string{"scratch", "tmp"} {
+			if _, err := s2.Exec(`SELECT * FROM ` + tbl); err == nil {
+				t.Fatalf("%s: unlogged table %s survived", name, tbl)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ent := range ents {
+			if n := ent.Name(); strings.HasPrefix(n, "scratch.") || strings.HasPrefix(n, "tmp.") {
+				t.Fatalf("%s: %s left in the data dir", name, n)
+			}
+		}
+		mustExec(s2, `CREATE UNLOGGED TABLE scratch (k INT PRIMARY KEY, v TEXT)`)
+		if n := e2.TableLen("scratch"); n != 0 {
+			t.Fatalf("%s: re-created unlogged table holds %d rows", name, n)
+		}
+		mustExec(s2, `DROP TABLE scratch`)
+		requireCatalog(dir)
+	}
+
+	// An abandoned engine: copy its files while it is still open, as a
+	// crash would leave them.
+	crashed := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, ent.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(crashed, "scratch.pages")); err != nil {
+		t.Fatalf("crash image lacks the unlogged page file: %v", err)
+	}
+	requireRestarted("abandoned", crashed)
+
+	mustExec(s, `DROP TABLE tmp`)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireRestarted("closed", dir)
 }

@@ -85,19 +85,20 @@ func (x *executor) createTableObject(lc string, s *sqlparser.CreateTableStmt, sc
 	if _, exists := x.eng.views[lc]; exists {
 		return nil, fmt.Errorf("engine: view %q already exists", s.Name)
 	}
-	store, err := x.eng.newStore(lc)
+	store, err := x.eng.newStore(lc, !s.Unlogged)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		name:    lc,
-		schema:  schema,
-		pkCol:   pk,
-		store:   store,
-		indexes: make(map[string]*hashIndex),
+		name:     lc,
+		schema:   schema,
+		pkCol:    pk,
+		unlogged: s.Unlogged,
+		store:    store,
+		indexes:  make(map[string]*hashIndex),
 	}
 	x.eng.tables[lc] = t
-	if err := x.eng.saveDiskCatalog(); err != nil {
+	if err := x.eng.saveDiskCatalog(t); err != nil {
 		delete(x.eng.tables, lc)
 		if d, ok := store.(storage.Dropper); ok {
 			_ = d.Drop()
@@ -194,7 +195,7 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 		}
 		t.mu.Unlock()
 		x.eng.forgetObjects(dropped...)
-		if err := x.eng.saveDiskCatalog(); err != nil {
+		if err := x.eng.saveDiskCatalog(t); err != nil {
 			return nil, fmt.Errorf("engine: persisting catalog after dropping %q: %w", s.Name, err)
 		}
 		if d, ok := t.store.(storage.Dropper); ok {

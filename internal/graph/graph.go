@@ -237,7 +237,7 @@ func Load(ctx context.Context, db *sql.DB, table string, g *Graph, batch int) er
 		batch = 500
 	}
 	create := fmt.Sprintf(
-		"CREATE UNLOGGED TABLE IF NOT EXISTS %s (src BIGINT, dst BIGINT, weight DOUBLE)", table)
+		"CREATE TABLE IF NOT EXISTS %s (src BIGINT, dst BIGINT, weight DOUBLE)", table)
 	if _, err := db.ExecContext(ctx, create); err != nil {
 		return fmt.Errorf("graph: create %s: %w", table, err)
 	}

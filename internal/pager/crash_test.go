@@ -63,7 +63,7 @@ func TestCrashWALCutMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.CreateStore("m")
+	s, err := db.CreateStore("m", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestCrashAfterCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.CreateStore("m")
+	s, err := db.CreateStore("m", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestCrashMidBatchAbandon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.CreateStore("m")
+	s, err := db.CreateStore("m", true)
 	if err != nil {
 		t.Fatal(err)
 	}

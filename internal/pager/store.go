@@ -89,13 +89,53 @@ func safeName(name string) string {
 	return fmt.Sprintf("%s_%08x", stem, h.Sum32())
 }
 
-func (db *DB) pagePath(name string) string { return filepath.Join(db.dir, safeName(name)+".pages") }
-func (db *DB) walPath(name string) string  { return filepath.Join(db.dir, safeName(name)+".wal") }
+const (
+	pageExt = ".pages"
+	walExt  = ".wal"
+)
+
+func (db *DB) pagePath(name string) string { return filepath.Join(db.dir, safeName(name)+pageExt) }
+func (db *DB) walPath(name string) string  { return filepath.Join(db.dir, safeName(name)+walExt) }
+
+// RemoveOrphans deletes every page and WAL file in dir that belongs to
+// none of the named stores: the remains of unlogged stores whose DB was
+// never closed, and of stores whose creation the caller never recorded.
+// Call it before opening a DB on dir.
+func RemoveOrphans(dir string, live []string) error {
+	keep := make(map[string]bool, len(live))
+	for _, name := range live {
+		keep[safeName(name)] = true
+	}
+	ents, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		stem, ok := strings.CutSuffix(e.Name(), pageExt)
+		if !ok {
+			stem, ok = strings.CutSuffix(e.Name(), walExt)
+		}
+		if !ok || e.IsDir() || keep[stem] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
 
 // CreateStore returns a fresh empty store named name, destroying any
 // on-disk remnants of a previous incarnation (the engine's CREATE
 // TABLE: the catalog, not the pager, is the authority on liveness).
-func (db *DB) CreateStore(name string) (*DiskStore, error) {
+// An unlogged store (logged=false, the engine's UNLOGGED tables) has no
+// write-ahead log: its mutations write no records, Commit and
+// Checkpoint do nothing, and a crash or restart leaves its page file
+// meaningless — the engine deletes it at the next open.
+func (db *DB) CreateStore(name string, logged bool) (*DiskStore, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if old, ok := db.stores[name]; ok {
@@ -108,7 +148,7 @@ func (db *DB) CreateStore(name string) (*DiskStore, error) {
 			return nil, err
 		}
 	}
-	return db.openStoreLocked(name)
+	return db.openStoreLocked(name, logged)
 }
 
 // OpenStore opens the store named name, running redo recovery over any
@@ -123,10 +163,10 @@ func (db *DB) OpenStore(name string) (*DiskStore, error) {
 	if s, ok := db.stores[name]; ok {
 		return s, nil
 	}
-	return db.openStoreLocked(name)
+	return db.openStoreLocked(name, true)
 }
 
-func (db *DB) openStoreLocked(name string) (*DiskStore, error) {
+func (db *DB) openStoreLocked(name string, logged bool) (*DiskStore, error) {
 	pf, err := openPageFile(db.pagePath(name))
 	if err != nil {
 		return nil, err
@@ -140,6 +180,10 @@ func (db *DB) openStoreLocked(name string) (*DiskStore, error) {
 	if err := s.scanPagesIntoIndex(); err != nil {
 		pf.close()
 		return nil, err
+	}
+	if !logged {
+		db.stores[name] = s
+		return s, nil
 	}
 	goodEnd, err := replayWAL(db.walPath(name), s.replay)
 	if err != nil {
@@ -194,16 +238,17 @@ type rowLoc struct {
 }
 
 // DiskStore is the durable storage.Store: rows live in slotted pages
-// reached through the DB's shared buffer pool, every mutation is
-// WAL-logged before it touches a page, and an in-memory hash index
-// maps keys to row locations. Reads are safe under the engine's shared
-// table lock (the buffer pool synchronizes frames internally); writes
-// require the exclusive lock, like every other backend.
+// reached through the DB's shared buffer pool, every mutation of a
+// logged store is WAL-logged before it touches a page, and an in-memory
+// hash index maps keys to row locations. Reads are safe under the
+// engine's shared table lock (the buffer pool synchronizes frames
+// internally); writes require the exclusive lock, like every other
+// backend.
 type DiskStore struct {
 	db   *DB
 	name string
 	pf   *pageFile
-	wal  *wal
+	wal  *wal // nil for an unlogged store
 
 	index map[sqltypes.Key]rowLoc
 	// tail is the page the insert path tries first — the most recently
@@ -292,7 +337,7 @@ func (s *DiskStore) Insert(key sqltypes.Key, row sqltypes.Row) error {
 	if len(encodeCell(key, row)) > MaxCell {
 		return fmt.Errorf("pager: row for key %v exceeds page capacity", key.Value())
 	}
-	lsn, err := s.wal.append(walRec{typ: recInsert, key: key, row: row})
+	lsn, err := s.log(walRec{typ: recInsert, key: key, row: row})
 	if err != nil {
 		return err
 	}
@@ -334,7 +379,7 @@ func (s *DiskStore) Update(key sqltypes.Key, row sqltypes.Row) bool {
 	if len(encodeCell(key, row)) > MaxCell {
 		s.ioPanic("Update", fmt.Errorf("row for key %v exceeds page capacity", key.Value()))
 	}
-	lsn, err := s.wal.append(walRec{typ: recUpdate, key: key, row: row})
+	lsn, err := s.log(walRec{typ: recUpdate, key: key, row: row})
 	if err != nil {
 		s.ioPanic("Update", err)
 	}
@@ -350,7 +395,7 @@ func (s *DiskStore) Delete(key sqltypes.Key) bool {
 	if _, ok := s.index[key]; !ok {
 		return false
 	}
-	lsn, err := s.wal.append(walRec{typ: recDelete, key: key})
+	lsn, err := s.log(walRec{typ: recDelete, key: key})
 	if err != nil {
 		s.ioPanic("Delete", err)
 	}
@@ -387,10 +432,16 @@ func (s *DiskStore) Scan(fn func(key sqltypes.Key, row sqltypes.Row) bool) {
 	}
 }
 
-// Clear removes all rows. The sequence is crash-safe at every point: a
-// committed clear record first (recovery then replays the clear), then
-// the physical truncation, then the WAL reset.
+// Clear removes all rows. On a logged store the sequence is crash-safe
+// at every point: a committed clear record first (recovery then replays
+// the clear), then the physical truncation, then the WAL reset.
 func (s *DiskStore) Clear() {
+	if s.wal == nil {
+		if err := s.applyClear(); err != nil {
+			s.ioPanic("Clear", err)
+		}
+		return
+	}
 	if _, err := s.wal.append(walRec{typ: recClear}); err != nil {
 		s.ioPanic("Clear", err)
 	}
@@ -409,11 +460,23 @@ func (s *DiskStore) Clear() {
 	s.pending = 0
 }
 
+// log appends one record to a logged store's WAL, returning its LSN;
+// an unlogged store logs nothing and stamps its pages with LSN 0.
+func (s *DiskStore) log(r walRec) (uint64, error) {
+	if s.wal == nil {
+		return 0, nil
+	}
+	return s.wal.append(r)
+}
+
 // Commit makes every operation so far durable (WAL commit + fsync).
 // The engine calls this at statement boundaries for write-locked
-// tables.
+// tables. A no-op on an unlogged store.
 func (s *DiskStore) Commit() error {
 	s.pending = 0
+	if s.wal == nil {
+		return nil
+	}
 	return s.wal.commit()
 }
 
@@ -421,6 +484,9 @@ func (s *DiskStore) Commit() error {
 // (the logical end offset; resets to the header size on checkpoint).
 // The engine's background checkpointer polls it against its threshold.
 func (s *DiskStore) WALSize() int64 {
+	if s.wal == nil {
+		return 0
+	}
 	s.wal.mu.Lock()
 	defer s.wal.mu.Unlock()
 	return s.wal.size
@@ -428,8 +494,13 @@ func (s *DiskStore) WALSize() int64 {
 
 // Checkpoint is the WAL↔checkpoint truncation contract: commit, flush
 // every dirty page, fsync the page file, then reset the log — after a
-// checkpoint, recovery has nothing to replay.
+// checkpoint, recovery has nothing to replay. A no-op on an unlogged
+// store: nothing outlives its engine, so there is nothing to make
+// durable.
 func (s *DiskStore) Checkpoint() error {
+	if s.wal == nil {
+		return nil
+	}
 	if err := s.Commit(); err != nil {
 		return err
 	}
@@ -454,7 +525,7 @@ func (s *DiskStore) dropLocked() error {
 		return nil
 	}
 	err := s.closeFiles(false)
-	for _, p := range []string{s.pf.path, s.wal.path} {
+	for _, p := range []string{s.pf.path, s.db.walPath(s.name)} {
 		if rmErr := os.Remove(p); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
 			err = rmErr
 		}
@@ -463,7 +534,7 @@ func (s *DiskStore) dropLocked() error {
 	return err
 }
 
-// Close commits, flushes and closes the store's files; the store
+// Close commits, flushes and closes the store's files; a logged store
 // remains reopenable via OpenStore.
 func (s *DiskStore) Close() error {
 	s.db.mu.Lock()
@@ -476,14 +547,20 @@ func (s *DiskStore) Close() error {
 	return err
 }
 
+// closeFiles closes the store's files, first making a logged store's
+// state durable when flush is set; an unlogged store's dirty pages are
+// dropped unwritten.
 func (s *DiskStore) closeFiles(flush bool) error {
 	s.closed = true
 	var errs []error
-	if flush {
+	if flush && s.wal != nil {
 		errs = append(errs, s.wal.commit(), s.db.bm.flushFile(s.pf), s.pf.sync())
 	}
 	s.db.bm.invalidateFile(s.pf)
-	errs = append(errs, s.wal.close(), s.pf.close())
+	if s.wal != nil {
+		errs = append(errs, s.wal.close())
+	}
+	errs = append(errs, s.pf.close())
 	return errors.Join(errs...)
 }
 

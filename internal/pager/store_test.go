@@ -22,7 +22,7 @@ func TestDiskStoreConformance(t *testing.T) {
 	n := 0
 	storagetest.Run(t, func() storage.Store {
 		n++
-		s, err := db.CreateStore(fmt.Sprintf("s%d", n))
+		s, err := db.CreateStore(fmt.Sprintf("s%d", n), true)
 		if err != nil {
 			t.Fatalf("CreateStore: %v", err)
 		}
@@ -44,7 +44,7 @@ func TestDiskStoreConformanceTinyPool(t *testing.T) {
 	n := 0
 	storagetest.Run(t, func() storage.Store {
 		n++
-		s, err := db.CreateStore(fmt.Sprintf("s%d", n))
+		s, err := db.CreateStore(fmt.Sprintf("s%d", n), true)
 		if err != nil {
 			t.Fatalf("CreateStore: %v", err)
 		}
@@ -58,7 +58,7 @@ func TestDiskStoreReopenDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.CreateStore("edges")
+	s, err := db.CreateStore("edges", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDiskStoreCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := db.CreateStore("t")
+	s, err := db.CreateStore("t", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDiskStoreDropRemovesFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := db.CreateStore("gone")
+	s, err := db.CreateStore("gone", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDiskStoreDropRemovesFiles(t *testing.T) {
 		t.Errorf("file %s survived Drop", e.Name())
 	}
 	// The name is reusable.
-	s2, err := db.CreateStore("gone")
+	s2, err := db.CreateStore("gone", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDiskStoreMetricsWired(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := db.CreateStore("m")
+	s, err := db.CreateStore("m", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDiskStoreWideRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	s, err := db.CreateStore("wide")
+	s, err := db.CreateStore("wide", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +267,104 @@ func TestDiskStoreWideRows(t *testing.T) {
 	r, ok := s.Get(intKey(1))
 	if !ok || len(r) != 100 {
 		t.Fatalf("wide row read back as %d cols, %v", len(r), ok)
+	}
+}
+
+// TestUnloggedStore runs the model tests on unlogged stores under a
+// pool far smaller than the data, so eviction writes their pages with
+// no log to commit first. An unlogged store never has a WAL file, and
+// its Commit and Checkpoint do nothing.
+func TestUnloggedStore(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDB(dir, Options{BufferPoolPages: minPoolPages})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	storagetest.Run(t, func() storage.Store {
+		n++
+		s, err := db.CreateStore(fmt.Sprintf("u%d", n), false)
+		if err != nil {
+			t.Fatalf("CreateStore: %v", err)
+		}
+		return s
+	})
+	u, err := db.CreateStore("scratch", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := db.CreateStore("kept", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 2000; i++ {
+		if err := u.Insert(intKey(i), testRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kept.Insert(intKey(1), testRow(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if u.WALSize() != 0 {
+		t.Fatalf("unlogged WALSize = %d", u.WALSize())
+	}
+	if got, ok := u.Get(intKey(1999)); !ok || got[0].Int() != 1999 {
+		t.Fatalf("Get after eviction = %v, %v", got, ok)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wals, err := filepath.Glob(filepath.Join(dir, "*"+walExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wals) != 1 || filepath.Base(wals[0]) != "kept"+walExt {
+		t.Fatalf("WAL files %v, want only the logged store's", wals)
+	}
+}
+
+// TestRemoveOrphans deletes the page and WAL files of every store not
+// named, whatever its name sanitized to, and leaves other files alone.
+func TestRemoveOrphans(t *testing.T) {
+	dir := t.TempDir()
+	odd := "Odd Name"
+	var files []string
+	for _, name := range []string{"keep", odd, "gone", "Gone Too"} {
+		files = append(files, safeName(name)+pageExt, safeName(name)+walExt)
+	}
+	files = append(files, "catalog.json", "notes.txt")
+	for _, f := range files {
+		if err := os.WriteFile(filepath.Join(dir, f), []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := RemoveOrphans(dir, []string{"keep", odd}); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := map[string]bool{}
+	for _, e := range ents {
+		left[e.Name()] = true
+	}
+	want := []string{"keep.pages", "keep.wal", safeName(odd) + pageExt, safeName(odd) + walExt, "catalog.json", "notes.txt"}
+	if len(left) != len(want) {
+		t.Fatalf("left %v, want %v", left, want)
+	}
+	for _, f := range want {
+		if !left[f] {
+			t.Errorf("%s was removed", f)
+		}
+	}
+	if err := RemoveOrphans(filepath.Join(dir, "missing"), nil); err != nil {
+		t.Fatalf("missing dir: %v", err)
 	}
 }

@@ -4,12 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sqloop"
 	"sqloop/internal/driver"
+	"sqloop/internal/engine"
+	"sqloop/internal/storage"
 	"sqloop/internal/wire"
 )
 
@@ -309,6 +312,77 @@ func TestCrashRecoveryDiskBackend(t *testing.T) {
 			if m.query != recoveryPageRank {
 				requireSSSPOracle(t, "uninterrupted", want)
 				requireSSSPOracle(t, "recovered", got)
+			}
+		})
+	}
+}
+
+// TestKeepTableSurvivesRestart runs SSSP with KeepTable on a disk data
+// dir, closes the instance and opens the dir with a fresh engine: the
+// kept table must hold the answer bit for bit, and no working table of
+// the run — all of them unlogged — may be left in the catalog or the
+// directory.
+func TestKeepTableSurvivesRestart(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		mode sqloop.Mode
+	}{{"single", sqloop.ModeSingle}, {"sync", sqloop.ModeSync}} {
+		t.Run(m.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := sqloop.OpenEmbedded("pgsim", sqloop.Options{
+				Mode: m.mode, Partitions: 4, Threads: 2, KeepTable: true,
+				Checkpoint: sqloop.CheckpointOptions{Dir: t.TempDir(), EveryRounds: 1},
+			}, sqloop.WithBackend("disk"), sqloop.WithDataDir(dir), sqloop.WithBufferPoolPages(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadRecoveryGraph(t, s)
+			res, err := s.Exec(context.Background(), fmt.Sprintf(recoverySSSP, "0 UPDATES"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int64]uint64{}
+			for _, row := range res.Rows {
+				want[row[0].(int64)] = math.Float64bits(row[1].(float64))
+			}
+			requireSSSPOracle(t, "kept", resultMap(t, res))
+
+			cfg, err := engine.Profile("pgsim")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Backend, cfg.DataDir = storage.KindDisk, dir
+			eng := engine.New(cfg)
+			defer eng.Close()
+			kept, err := eng.NewSession().Exec(`SELECT Node, Distance FROM sssp`)
+			if err != nil {
+				t.Fatalf("kept table lost on restart: %v", err)
+			}
+			if len(kept.Rows) != len(want) {
+				t.Fatalf("kept table holds %d rows, answer %d", len(kept.Rows), len(want))
+			}
+			for _, row := range kept.Rows {
+				n, d := row[0].GoValue().(int64), row[1].GoValue().(float64)
+				if w, ok := want[n]; !ok || w != math.Float64bits(d) {
+					t.Fatalf("node %d: kept %v, answer %v", n, d, math.Float64frombits(w))
+				}
+			}
+			if got := eng.TableNames(); fmt.Sprint(got) != "[edges sssp]" {
+				t.Fatalf("catalog after restart = %v, want [edges sssp]", got)
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var files []string
+			for _, e := range ents {
+				files = append(files, e.Name())
+			}
+			if fmt.Sprint(files) != "[catalog.json edges.pages edges.wal sssp.pages sssp.wal]" {
+				t.Fatalf("data dir after restart holds %v", files)
 			}
 		})
 	}
