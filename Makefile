@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race race-par race-elastic fuzz crash flakes tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke check-deprecated clean
+.PHONY: all build vet fmt test race race-par race-elastic fuzz crash flakes tier1 bench bench-smoke bench-traffic bench-trend perfbench-smoke bench-ab check-deprecated clean
 
 all: tier1
 
@@ -109,6 +109,21 @@ perfbench-smoke:
 		*) echo "perfbench-smoke: $$w: failed queries: $$(echo "$$last" | cut -c1-120)"; exit 1;; \
 		esac; \
 	done
+
+# A/B end-to-end comparison of the working tree with a base revision on
+# one perfbench workload: BENCH_AB_PAIRS pairs of runs, alternating which
+# side runs first, over the seed range BENCH_AB_SEEDS, then each end-to-end
+# metric's median and quartiles and its change against its
+# BENCHMARK.json bound. The base is extracted into .bench_build/.
+BENCH_AB_BASE ?= HEAD
+BENCH_AB_WORKLOAD ?= dq-wire-shards
+BENCH_AB_PAIRS ?= 10
+BENCH_AB_SEEDS ?= 1-5
+BENCH_AB_SECONDS ?= 30
+
+bench-ab:
+	$(GO) run ./cmd/benchab -base $(BENCH_AB_BASE) -workload $(BENCH_AB_WORKLOAD) \
+		-pairs $(BENCH_AB_PAIRS) -seeds $(BENCH_AB_SEEDS) -seconds $(BENCH_AB_SECONDS)
 
 # Smoke-scale run of the PR6 serving-traffic experiment (open-loop
 # mixed load against the pooled server); the full run writes

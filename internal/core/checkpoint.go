@@ -110,10 +110,11 @@ func (r *ckptRun) due(round int) bool {
 func (r *ckptRun) restoring() bool { return r != nil && r.resumed != nil }
 
 // save writes one snapshot of the named tables, reading tables[i] on
-// conn(i) (a shard group's partitions live on different engines). A
-// parallel run passes each partition's completed-round counter and its
-// group's topology epoch.
-func (r *ckptRun) save(ctx context.Context, conn func(i int) *dbConn, round int, partRounds []int, epoch int64, cols, tables []string) error {
+// conn(i) (a shard group's partitions live on different engines), each
+// projected to tableCols (nil for all its columns). A parallel run
+// passes each partition's completed-round counter and its group's
+// topology epoch.
+func (r *ckptRun) save(ctx context.Context, conn func(i int) *dbConn, round int, partRounds []int, epoch int64, cols, tables, tableCols []string) error {
 	if r == nil {
 		return nil
 	}
@@ -127,7 +128,7 @@ func (r *ckptRun) save(ctx context.Context, conn func(i int) *dbConn, round int,
 		CreatedAt:  time.Now().UTC(),
 	}
 	for i, t := range tables {
-		ts, err := r.readTable(ctx, conn(i), t)
+		ts, err := r.readTable(ctx, conn(i), t, tableCols)
 		if err != nil {
 			return err
 		}
@@ -151,9 +152,10 @@ func (r *ckptRun) save(ctx context.Context, conn func(i int) *dbConn, round int,
 	return nil
 }
 
-// readTable captures one table's full contents.
-func (r *ckptRun) readTable(ctx context.Context, c *dbConn, name string) (ckpt.TableState, error) {
-	res, err := c.runStmt(ctx, &sqlparser.SelectStmt{Body: selectStar(name)})
+// readTable captures one table's contents: the listed columns, or all
+// of them when cols is nil.
+func (r *ckptRun) readTable(ctx context.Context, c *dbConn, name string, cols []string) (ckpt.TableState, error) {
+	res, err := c.runStmt(ctx, &sqlparser.SelectStmt{Body: selectCols(name, cols)})
 	if err != nil {
 		return ckpt.TableState{}, err
 	}
@@ -169,7 +171,7 @@ func (r *ckptRun) restoreTable(ctx context.Context, c *dbConn, ts ckpt.TableStat
 	if _, err := c.runStmt(ctx, createAnyTable(ts.Name, ts.Columns, pk)); err != nil {
 		return err
 	}
-	if err := insertRows(ctx, c, ts.Name, ts.Rows); err != nil {
+	if err := insertRows(ctx, c, ts.Name, nil, ts.Rows); err != nil {
 		return fmt.Errorf("restore %s: %w", ts.Name, err)
 	}
 	return nil

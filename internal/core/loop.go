@@ -155,7 +155,7 @@ func (s *SQLoop) execRecursive(ctx context.Context, cte *sqlparser.LoopCTEStmt) 
 			return nil, err
 		}
 		if ck.due(iters) {
-			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName, workName}); err != nil {
+			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName, workName}, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -407,7 +407,7 @@ func (s *SQLoop) execIterativeSingle(ctx context.Context, cte *sqlparser.LoopCTE
 			break
 		}
 		if ck.due(iters) {
-			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName}); err != nil {
+			if err := ck.save(ctx, func(int) *dbConn { return c }, iters, nil, 0, cols, []string{rName}, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -134,6 +134,19 @@ func selectStar(table string) *sqlparser.Select {
 	}
 }
 
+// selectCols builds SELECT c1, c2, ... FROM table, or SELECT * when
+// cols is nil.
+func selectCols(table string, cols []string) *sqlparser.Select {
+	if cols == nil {
+		return selectStar(table)
+	}
+	sel := &sqlparser.Select{From: []sqlparser.TableExpr{tbl(table)}}
+	for _, c := range cols {
+		sel.Items = append(sel.Items, item(col("", c), c))
+	}
+	return sel
+}
+
 // unionAll folds bodies into a left-deep UNION ALL tree.
 func unionAll(bodies []sqlparser.SelectBody) sqlparser.SelectBody {
 	out := bodies[0]

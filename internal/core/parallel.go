@@ -398,8 +398,8 @@ func (s *SQLoop) execIterativeParallel(ctx context.Context, cte *sqlparser.LoopC
 		// Resume: the partition tables come back from the snapshot (the
 		// save drained every message table first, so the tables are the
 		// whole state); R is re-exposed as the view over their union.
-		for _, ts := range ck.resumed.Tables {
-			if err := ck.restoreTable(ctx, coord, ts, true); err != nil {
+		for x, ts := range ck.resumed.Tables {
+			if err := run.refillPartition(ctx, coord, x, ts.Columns, ts.Rows); err != nil {
 				return nil, err
 			}
 		}
@@ -466,6 +466,29 @@ func (r *parallelRun) finish(start time.Time) {
 	r.ckpt.finish(&r.stats)
 }
 
+// refillPartition recreates partition x's table on c from rows of the
+// state columns cols (a snapshot's, or the batches a rebalance moved)
+// and rebuilds its frontier.
+func (r *parallelRun) refillPartition(ctx context.Context, c *dbConn, x int, cols []string, batches ...[][]any) error {
+	name := r.pl.partName(x)
+	for _, st := range []sqlparser.Statement{dropTable(name), createAnyTable(name, r.pl.partCols(), true)} {
+		if _, err := c.runStmt(ctx, st); err != nil {
+			return err
+		}
+	}
+	for _, rows := range batches {
+		if err := insertRows(ctx, c, name, cols, rows); err != nil {
+			return fmt.Errorf("refill %s: %w", name, err)
+		}
+	}
+	for _, st := range r.pl.rebuildFrontierStmts(x) {
+		if _, err := c.runStmt(ctx, st); err != nil {
+			return fmt.Errorf("refill %s: %w", name, err)
+		}
+	}
+	return nil
+}
+
 // saveCkpt snapshots every partition table, each read on its own
 // partition's connection, with the per-partition round counters.
 // Callers must have delivered every pending message first, so the
@@ -479,7 +502,7 @@ func (r *parallelRun) saveCkpt(ctx context.Context, round int) error {
 	if r.group != nil {
 		epoch = r.group.g.epoch.Load()
 	}
-	return r.ckpt.save(ctx, r.connOf, round, r.rounds, epoch, r.pl.cols, names)
+	return r.ckpt.save(ctx, r.connOf, round, r.rounds, epoch, r.pl.cols, names, r.pl.stateCols())
 }
 
 // cleanup drops every working object.
@@ -513,7 +536,11 @@ func (r *parallelRun) computeTask(ctx context.Context, x int, c *dbConn, gatherC
 	res := taskResult{part: x}
 	hasAbsorb := len(r.pl.valueSets) > 0
 	if hasAbsorb {
-		ar, err := c.runStmt(ctx, r.pl.absorbStmt(x))
+		var absorb sqlparser.Statement = r.pl.absorbStmt(x)
+		if r.computed[x].Load() {
+			absorb = r.pl.frontierAbsorbStmt(x)
+		}
+		ar, err := c.runStmt(ctx, absorb)
 		if err != nil {
 			res.err = fmt.Errorf("compute(absorb) pt%d: %w", x, err)
 			return res
@@ -688,7 +715,7 @@ func (r *parallelRun) receive(ctx context.Context, c *dbConn, rx string, rows []
 	if _, err := c.runStmt(ctx, createAnyTable(rx, r.pl.msgCols(), false)); err != nil {
 		return fmt.Errorf("exchange receive: %w", err)
 	}
-	if err := insertRows(ctx, c, rx, rows); err != nil {
+	if err := insertRows(ctx, c, rx, nil, rows); err != nil {
 		return fmt.Errorf("exchange receive: %w", err)
 	}
 	return nil
@@ -1345,8 +1372,9 @@ func (r *parallelRun) refreshPriorities(ctx context.Context) error {
 	return nil
 }
 
-// insertRows batch-inserts driver rows into a table on c.
-func insertRows(ctx context.Context, c *dbConn, table string, rows [][]any) error {
+// insertRows batch-inserts driver rows into a table on c, into the
+// listed columns (nil for all of them, in order).
+func insertRows(ctx context.Context, c *dbConn, table string, cols []string, rows [][]any) error {
 	const batch = 500
 	for lo := 0; lo < len(rows); lo += batch {
 		hi := min(lo+batch, len(rows))
@@ -1362,7 +1390,7 @@ func insertRows(ctx context.Context, c *dbConn, table string, rows [][]any) erro
 			}
 			vals.Rows = append(vals.Rows, exprs)
 		}
-		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: table, Source: vals}); err != nil {
+		if _, err := c.runStmt(ctx, &sqlparser.InsertStmt{Table: table, Columns: cols, Source: vals}); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 
 	"sqloop/internal/sqlparser"
@@ -23,6 +24,13 @@ type plan struct {
 
 	materialized bool // mjoin in use
 	avg          bool // AVG needs (sum, count) message columns
+
+	// idleAbsorb: the absorb provably changes no row whose delta is the
+	// identity, so after a partition's first compute it reads only the
+	// frontier. nullGuards are the value columns a NULL in which keeps a
+	// row on the frontier (see identityLaw).
+	idleAbsorb bool
+	nullGuards []string
 }
 
 // Hidden companion columns for AVG accumulation (§V-D).
@@ -30,6 +38,14 @@ const (
 	avgSumCol = "sqloop_avg_sum"
 	avgCntCol = "sqloop_avg_cnt"
 )
+
+// activeCol is the hidden frontier column of a non-AVG partition table
+// (DESIGN.md "Frontier-sized Compute/Gather"): 1 on every row whose
+// delta is not the identity, NULL on the rest, and hash-indexed, so the
+// absorb, the activity filter and the reset read only the frontier. It
+// is derived state: snapshots and rebalances leave it out and
+// rebuildFrontierStmts recomputes it.
+const activeCol = "sqloop_active"
 
 // newPlan derives the plan from a successful analysis.
 func newPlan(cte *sqlparser.LoopCTEStmt, an Analysis, cols []string, parts int, tok string, materialize bool) *plan {
@@ -55,41 +71,183 @@ func newPlan(cte *sqlparser.LoopCTEStmt, an Analysis, cols []string, parts int, 
 			Value:  sqlparser.CloneExpr(it.Expr),
 		})
 	}
+	if pl.frontier() {
+		pl.idleAbsorb, pl.nullGuards = identityLaw(pl.valueSets, an.TargetAlias, pl.deltaCol, an.DeltaDefault)
+	}
 	return pl
+}
+
+// frontier reports whether the partitions carry activeCol: every plan
+// but AVG's, whose reset must clear accumulators that may be dirty
+// under an identity delta.
+func (pl *plan) frontier() bool { return !pl.avg }
+
+// identityLaw reports whether every value SET is a no-op on a row whose
+// delta is the identity ι, judged from its form alone:
+//
+//	LEAST(v, δ)     with ι = +Infinity
+//	GREATEST(v, δ)  with ι = -Infinity
+//	v + δ           with ι = 0
+//	COALESCE(f, c)  with f one of the above and c a non-NULL literal
+//
+// where v is the SET's own column and δ the delta column (either
+// order). Any other SET may change an idle row, so the absorb must read
+// every row. LEAST and GREATEST skip NULLs, so LEAST(NULL, ι) is ι, not
+// NULL: a bare LEAST/GREATEST is a no-op only while v is not NULL, and
+// its column is returned in guards (a NULL there keeps the row active).
+// v + 0 keeps a NULL, and a COALESCE'd column is never NULL after the
+// first absorb, which reads every row.
+func identityLaw(sets []sqlparser.Assignment, target, deltaCol string, id sqltypes.Value) (ok bool, guards []string) {
+	isCol := func(e sqlparser.Expr, name string) bool {
+		cr, ok := e.(*sqlparser.ColumnRef)
+		return ok && (cr.Table == "" || strings.EqualFold(cr.Table, target)) && strings.EqualFold(cr.Name, name)
+	}
+	pair := func(a, b sqlparser.Expr, v string) bool {
+		return (isCol(a, v) && isCol(b, deltaCol)) || (isCol(a, deltaCol) && isCol(b, v))
+	}
+	isFloat := func(want float64) bool {
+		return id.Kind() == sqltypes.KindFloat && id.Float() == want
+	}
+	// base matches the three core forms; guard reports a bare
+	// LEAST/GREATEST.
+	base := func(e sqlparser.Expr, v string) (ok, guard bool) {
+		switch t := e.(type) {
+		case *sqlparser.FuncCall:
+			if len(t.Args) != 2 || t.Distinct || t.Star || !pair(t.Args[0], t.Args[1], v) {
+				return false, false
+			}
+			switch t.Name {
+			case "LEAST":
+				return isFloat(math.Inf(1)), true
+			case "GREATEST":
+				return isFloat(math.Inf(-1)), true
+			}
+		case *sqlparser.BinaryExpr:
+			zero := id.IsNumeric() && id.Float() == 0
+			return t.Op == sqltypes.OpAdd && zero && pair(t.Left, t.Right, v), false
+		}
+		return false, false
+	}
+	for _, set := range sets {
+		e := set.Value
+		coalesced := false
+		if fc, isFn := e.(*sqlparser.FuncCall); isFn && fc.Name == "COALESCE" && len(fc.Args) == 2 {
+			if lit, isLit := fc.Args[1].(*sqlparser.Literal); isLit && !lit.Val.IsNull() {
+				e, coalesced = fc.Args[0], true
+			}
+		}
+		good, guard := base(e, set.Column)
+		if !good {
+			return false, nil
+		}
+		if guard && !coalesced {
+			guards = append(guards, set.Column)
+		}
+	}
+	return true, guards
 }
 
 // partName is the partition table for index x.
 func (pl *plan) partName(x int) string { return partTableName(pl.tok, pl.cte.Name, x) }
 
 // partitionStmts splits table R into p hash partitions and replaces R
-// with a view over their union (§V-B). AVG plans add the hidden
-// accumulator columns.
+// with a view over their union (§V-B).
 func (pl *plan) partitionStmts() []sqlparser.Statement {
 	var stmts []sqlparser.Statement
-	partCols := append([]string(nil), pl.cols...)
-	if pl.avg {
-		partCols = append(partCols, avgSumCol, avgCntCol)
-	}
 	for x := 0; x < pl.p; x++ {
-		stmts = append(stmts, dropTable(pl.partName(x)))
-		stmts = append(stmts, createAnyTable(pl.partName(x), partCols, true))
-		sel := &sqlparser.Select{
-			From:  []sqlparser.TableExpr{tbl(pl.rQL)},
-			Where: eq(pl.partOf(col("", pl.idCol)), intLit(int64(x))),
-		}
-		for _, c := range pl.cols {
-			sel.Items = append(sel.Items, item(col("", c), ""))
-		}
-		if pl.avg {
-			sel.Items = append(sel.Items,
-				item(litVal(sqltypes.NewFloat(0)), avgSumCol),
-				item(litVal(sqltypes.NewFloat(0)), avgCntCol))
-		}
-		stmts = append(stmts, insertBody(pl.partName(x), sel))
+		stmts = append(stmts, pl.fillPartitionStmts(x)...)
 	}
 	stmts = append(stmts, dropTable(pl.rQL))
 	stmts = append(stmts, &sqlparser.CreateViewStmt{Name: pl.rQL, Body: pl.unionBody()})
 	return stmts
+}
+
+// fillPartitionStmts create partition x from table R: its rows with
+// PARTHASH(id, p) = x, AVG's accumulators at zero or the frontier column
+// computed from the delta, then the frontier index.
+func (pl *plan) fillPartitionStmts(x int) []sqlparser.Statement {
+	sel := &sqlparser.Select{
+		From:  []sqlparser.TableExpr{tbl(pl.rQL)},
+		Where: eq(pl.partOf(col("", pl.idCol)), intLit(int64(x))),
+	}
+	for _, c := range pl.cols {
+		sel.Items = append(sel.Items, item(col("", c), ""))
+	}
+	if pl.avg {
+		sel.Items = append(sel.Items,
+			item(litVal(sqltypes.NewFloat(0)), avgSumCol),
+			item(litVal(sqltypes.NewFloat(0)), avgCntCol))
+	}
+	if pl.frontier() {
+		sel.Items = append(sel.Items, item(pl.activeExpr(col("", pl.deltaCol), ""), activeCol))
+	}
+	stmts := []sqlparser.Statement{
+		dropTable(pl.partName(x)),
+		createAnyTable(pl.partName(x), pl.partCols(), true),
+		insertBody(pl.partName(x), sel),
+	}
+	if pl.frontier() {
+		stmts = append(stmts, pl.frontierIndexStmt(x))
+	}
+	return stmts
+}
+
+// stateCols are the columns a partition's state is saved and moved
+// with: the public CTE columns plus AVG's accumulators.
+func (pl *plan) stateCols() []string {
+	cols := append([]string(nil), pl.cols...)
+	if pl.avg {
+		cols = append(cols, avgSumCol, avgCntCol)
+	}
+	return cols
+}
+
+// partCols are a partition table's columns: stateCols plus the
+// frontier column.
+func (pl *plan) partCols() []string {
+	cols := pl.stateCols()
+	if pl.frontier() {
+		cols = append(cols, activeCol)
+	}
+	return cols
+}
+
+// activeExpr is the frontier column's value for a row whose delta is
+// delta, its columns qualified by t: NULL when the delta is the
+// identity (and no guarded value column is NULL, see identityLaw), 1
+// otherwise, so a NULL delta is active.
+func (pl *plan) activeExpr(delta sqlparser.Expr, t string) sqlparser.Expr {
+	idle := sqlparser.Expr(&sqlparser.ComparisonExpr{Op: sqltypes.CmpEQ, Left: delta, Right: litVal(pl.an.DeltaDefault)})
+	for _, v := range pl.nullGuards {
+		idle = and(idle, &sqlparser.IsNullExpr{Inner: col(t, v), Not: true})
+	}
+	return &sqlparser.CaseExpr{
+		Whens: []sqlparser.CaseWhen{{Cond: idle, Result: litVal(sqltypes.Null)}},
+		Else:  intLit(1),
+	}
+}
+
+// isActive is the frontier conjunct `t.sqloop_active = 1`.
+func isActive(t string) sqlparser.Expr { return eq(col(t, activeCol), intLit(1)) }
+
+// frontierIndexStmt indexes partition x on its frontier column.
+func (pl *plan) frontierIndexStmt(x int) sqlparser.Statement {
+	return &sqlparser.CreateIndexStmt{Name: pl.partName(x) + "_active", Table: pl.partName(x), Columns: []string{activeCol}}
+}
+
+// rebuildFrontierStmts recompute partition x's frontier column after
+// its rows were restored or moved without it, and index it.
+func (pl *plan) rebuildFrontierStmts(x int) []sqlparser.Statement {
+	if !pl.frontier() {
+		return nil
+	}
+	return []sqlparser.Statement{
+		&sqlparser.UpdateStmt{
+			Table: pl.partName(x),
+			Sets:  []sqlparser.Assignment{{Column: activeCol, Value: pl.activeExpr(col("", pl.deltaCol), "")}},
+		},
+		pl.frontierIndexStmt(x),
+	}
 }
 
 // unionBody selects the public CTE columns from every partition.
@@ -169,13 +327,25 @@ func (pl *plan) rewriteEdgeRefs(e sqlparser.Expr) sqlparser.Expr {
 
 // absorbStmt is phase one of a Compute task: fold the delta into the
 // value columns using the user's own update expressions, evaluated on
-// the partition table under the user's alias for R.
-func (pl *plan) absorbStmt(x int) sqlparser.Statement {
+// the partition table under the user's alias for R, over every row.
+func (pl *plan) absorbStmt(x int) *sqlparser.UpdateStmt {
 	return &sqlparser.UpdateStmt{
 		Table: pl.partName(x),
 		Alias: pl.an.TargetAlias,
 		Sets:  pl.valueSets,
 	}
+}
+
+// frontierAbsorbStmt is the absorb of every compute but a partition's
+// first since partitioning, restore or rebalance: restricted to the
+// active rows when the identity law holds (see identityLaw), over every
+// row otherwise.
+func (pl *plan) frontierAbsorbStmt(x int) sqlparser.Statement {
+	upd := pl.absorbStmt(x)
+	if pl.idleAbsorb {
+		upd.Where = isActive(pl.an.TargetAlias)
+	}
+	return upd
 }
 
 // activityFilter restricts message emission to rows whose delta is not
@@ -197,6 +367,11 @@ func (pl *plan) activityFilter() sqlparser.Expr {
 	})
 	if vc := pl.absorbedValueCol(); vc != "" {
 		filter = and(filter, eq(col(n, vc), col(n, pl.deltaCol)))
+	}
+	if pl.frontier() {
+		// First, so the engine reads the partition through the frontier
+		// index (a pushed join input's `col = constant` conjunct).
+		filter = and(isActive(n), filter)
 	}
 	return filter
 }
@@ -307,7 +482,9 @@ func (pl *plan) msgIndexStmt(msgName string) sqlparser.Statement {
 }
 
 // resetStmt is phase three of a Compute task: reset the delta column to
-// the aggregate identity (and the AVG accumulators to zero).
+// the aggregate identity (and the AVG accumulators to zero). The reset
+// rows leave the frontier: each was absorbed with a non-NULL delta, so
+// no guarded value column is NULL.
 func (pl *plan) resetStmt(x int) sqlparser.Statement {
 	upd := &sqlparser.UpdateStmt{
 		Table: pl.partName(x),
@@ -317,6 +494,10 @@ func (pl *plan) resetStmt(x int) sqlparser.Statement {
 			Left:  col("", pl.deltaCol),
 			Right: litVal(pl.an.DeltaDefault),
 		},
+	}
+	if pl.frontier() {
+		upd.Sets = append(upd.Sets, sqlparser.Assignment{Column: activeCol, Value: litVal(sqltypes.Null)})
+		upd.Where = and(isActive(""), upd.Where)
 	}
 	if pl.avg {
 		upd.Sets = append(upd.Sets,
@@ -383,7 +564,8 @@ func (pl *plan) gatherStmt(x int, msgTables []string) sqlparser.Statement {
 		// Label-correcting prune: a candidate that does not beat the
 		// absorbed value can never affect the fix point; accepting it
 		// would only revive the partition and re-broadcast settled
-		// values (ties ping-pong forever on unit-weight graphs).
+		// values (ties ping-pong forever on unit-weight graphs). A NULL
+		// value is beaten by any candidate, as LEAST/GREATEST skip NULLs.
 		incoming := sqlparser.Expr(mval)
 		if vc := pl.absorbedValueCol(); vc != "" {
 			op := sqltypes.CmpLT
@@ -392,7 +574,9 @@ func (pl *plan) gatherStmt(x int, msgTables []string) sqlparser.Statement {
 			}
 			incoming = &sqlparser.CaseExpr{
 				Whens: []sqlparser.CaseWhen{{
-					Cond:   &sqlparser.ComparisonExpr{Op: op, Left: mval, Right: col(t, vc)},
+					Cond: &sqlparser.LogicalExpr{Op: sqlparser.LogicOr,
+						Left:  &sqlparser.ComparisonExpr{Op: op, Left: mval, Right: col(t, vc)},
+						Right: &sqlparser.IsNullExpr{Inner: col(t, vc)}},
 					Result: mval,
 				}},
 				Else: litVal(pl.an.DeltaDefault),
@@ -421,6 +605,12 @@ func (pl *plan) gatherStmt(x int, msgTables []string) sqlparser.Statement {
 				Else: litVal(pl.an.DeltaDefault),
 			}},
 		}
+	}
+	if pl.frontier() {
+		// Every SET reads the row as it was, so the frontier column is
+		// computed from a copy of the new delta.
+		newDelta := sqlparser.CloneExpr(upd.Sets[0].Value)
+		upd.Sets = append(upd.Sets, sqlparser.Assignment{Column: activeCol, Value: pl.activeExpr(newDelta, t)})
 	}
 	return upd
 }

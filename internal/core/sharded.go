@@ -762,7 +762,8 @@ func (g *ShardGroup) execSharded(ctx context.Context, cte *sqlparser.LoopCTEStmt
 			g.epoch.Store(e)
 		}
 		if err := run.forEach(func(s int) error {
-			if err := ck.restoreTable(ctx, conns[s], ck.resumed.Tables[s], true); err != nil {
+			ts := ck.resumed.Tables[s]
+			if err := run.refillPartition(ctx, conns[s], s, ts.Columns, ts.Rows); err != nil {
 				return err
 			}
 			_, err := conns[s].runStmt(ctx, &sqlparser.CreateViewStmt{
@@ -878,36 +879,9 @@ func (r *parallelRun) forEach(fn func(s int) error) error {
 // local partition alone (the union view of the in-process executor
 // would claim rows this shard does not have).
 func (r *parallelRun) localPartitionStmts(s int) []sqlparser.Statement {
-	pl := r.pl
-	sel := &sqlparser.Select{
-		From:  []sqlparser.TableExpr{tbl(pl.rQL)},
-		Where: eq(pl.partOf(col("", pl.idCol)), intLit(int64(s))),
-	}
-	for _, c := range pl.cols {
-		sel.Items = append(sel.Items, item(col("", c), ""))
-	}
-	if pl.avg {
-		sel.Items = append(sel.Items,
-			item(litVal(sqltypes.NewFloat(0)), avgSumCol),
-			item(litVal(sqltypes.NewFloat(0)), avgCntCol))
-	}
-	return []sqlparser.Statement{
-		dropTable(pl.partName(s)),
-		createAnyTable(pl.partName(s), r.partCols(), true),
-		insertBody(pl.partName(s), sel),
-		dropTable(pl.rQL),
-		&sqlparser.CreateViewStmt{Name: pl.rQL, Body: r.localViewBody(s)},
-	}
-}
-
-// partCols are a partition table's columns: the public CTE columns plus
-// AVG's accumulators.
-func (r *parallelRun) partCols() []string {
-	cols := append([]string(nil), r.pl.cols...)
-	if r.pl.avg {
-		cols = append(cols, avgSumCol, avgCntCol)
-	}
-	return cols
+	return append(r.pl.fillPartitionStmts(s),
+		dropTable(r.pl.rQL),
+		&sqlparser.CreateViewStmt{Name: r.pl.rQL, Body: r.localViewBody(s)})
 }
 
 // localViewBody selects the public CTE columns from this shard's
@@ -932,12 +906,13 @@ func (r *parallelRun) rebalance(ctx context.Context, round, newS int) error {
 	S := len(r.conns)
 	start := time.Now()
 
-	// Read each partition's complete rows (public columns plus the AVG
-	// accumulators), route every row under the new count and encode each
-	// (source, destination) bucket for the wire.
+	// Read each partition's state (public columns plus the AVG
+	// accumulators; the frontier column is rebuilt on arrival), route
+	// every row under the new count and encode each (source,
+	// destination) bucket for the wire.
 	batches := make([]shard.Batch, S)
 	if err := r.forEach(func(s int) error {
-		res, err := r.conns[s].runStmt(ctx, &sqlparser.SelectStmt{Body: selectStar(r.pl.partName(s))})
+		res, err := r.conns[s].runStmt(ctx, &sqlparser.SelectStmt{Body: selectCols(r.pl.partName(s), r.pl.stateCols())})
 		if err != nil {
 			return fmt.Errorf("rebalance read on shard %d: %w", s, err)
 		}
@@ -962,7 +937,7 @@ func (r *parallelRun) rebalance(ctx context.Context, round, newS int) error {
 		}
 	}
 
-	partCols := r.partCols()
+	stateCols := r.pl.stateCols()
 	rUser := strings.ToLower(r.cte.Name)
 
 	// Retiring shards shed their working objects before leaving (their
@@ -1021,23 +996,21 @@ func (r *parallelRun) rebalance(ctx context.Context, round, newS int) error {
 				return err
 			}
 		}
-		for _, st := range []sqlparser.Statement{
-			dropView(r.pl.rQL), dropTable(r.pl.rQL),
-			dropTable(r.pl.partName(d)),
-			createAnyTable(r.pl.partName(d), partCols, true),
-		} {
+		for _, st := range []sqlparser.Statement{dropView(r.pl.rQL), dropTable(r.pl.rQL)} {
 			if _, err := c.runStmt(ctx, st); err != nil {
 				return fmt.Errorf("rebalance rebuild on shard %d: %w", d, err)
 			}
 		}
-		for s := 0; s < S; s++ {
+		rows := make([][][]any, S)
+		for s := range rows {
 			b, err := shard.DecodeBatch(outbound[s][d])
 			if err != nil {
 				return fmt.Errorf("rebalance decode on shard %d: %w", d, err)
 			}
-			if err := insertRows(ctx, c, r.pl.partName(d), b.Rows); err != nil {
-				return fmt.Errorf("rebalance insert on shard %d: %w", d, err)
-			}
+			rows[s] = b.Rows
+		}
+		if err := r.refillPartition(ctx, c, d, stateCols, rows...); err != nil {
+			return fmt.Errorf("rebalance rebuild on shard %d: %w", d, err)
 		}
 		if _, err := c.runStmt(ctx, &sqlparser.CreateViewStmt{
 			Name: r.pl.rQL, Body: r.localViewBody(d)}); err != nil {
@@ -1188,7 +1161,7 @@ func (r *parallelRun) mergeFinal(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("final merge read from shard %d: %w", s, err)
 		}
-		if err := insertRows(ctx, c0, r.pl.rQL, res.Rows); err != nil {
+		if err := insertRows(ctx, c0, r.pl.rQL, nil, res.Rows); err != nil {
 			return nil, fmt.Errorf("final merge insert from shard %d: %w", s, err)
 		}
 	}

@@ -439,11 +439,22 @@ type Table struct {
 // O(1) amortised; slot, the position of each primary key in its bucket,
 // is built on the first removal (tables that are only ever appended to,
 // like message and materialized-join tables, never pay for it).
+//
+// NULL and NaN values are not stored: `=` never matches NULL, so no
+// lookup needs those rows, and the index stays the size of its other
+// rows. NaN compares equal to every number under CompareSQL, so nan
+// counts the NaN rows left out and a lookup by a number is refused
+// while any remain (see indexPath).
 type hashIndex struct {
 	name    string
 	col     int
 	buckets map[sqltypes.Key]*ixBucket
 	slot    map[sqltypes.Key]int // nil until the first removal
+	nan     int
+	// spare is the cleared entry array of the last bucket that emptied,
+	// reused by the next new bucket: a frontier index empties and
+	// refills its one bucket every round.
+	spare []ixEntry
 }
 
 // ixBucket is one key's primary keys in insertion order; dead entries
@@ -466,11 +477,28 @@ func newHashIndex(name string, col int) *hashIndex {
 	}
 }
 
+// unstored reports whether v is left out of the index (NULL or NaN),
+// counting NaN rows in or out by delta.
+func (ix *hashIndex) unstored(v sqltypes.Value, delta int) bool {
+	if v.IsNull() {
+		return true
+	}
+	if isNaNValue(v) {
+		ix.nan += delta
+		return true
+	}
+	return false
+}
+
 func (ix *hashIndex) add(pk sqltypes.Key, row sqltypes.Row) {
+	if ix.unstored(row[ix.col], 1) {
+		return
+	}
 	v := row[ix.col].MapKey()
 	b, ok := ix.buckets[v]
 	if !ok {
-		b = &ixBucket{}
+		b = &ixBucket{ents: ix.spare}
+		ix.spare = nil
 		ix.buckets[v] = b
 	}
 	if ix.slot != nil {
@@ -480,6 +508,9 @@ func (ix *hashIndex) add(pk sqltypes.Key, row sqltypes.Row) {
 }
 
 func (ix *hashIndex) remove(pk sqltypes.Key, row sqltypes.Row) {
+	if ix.unstored(row[ix.col], -1) {
+		return
+	}
 	v := row[ix.col].MapKey()
 	b, ok := ix.buckets[v]
 	if !ok {
@@ -505,6 +536,8 @@ func (ix *hashIndex) remove(pk sqltypes.Key, row sqltypes.Row) {
 	switch live := len(b.ents) - b.dead; {
 	case live == 0:
 		delete(ix.buckets, v)
+		clear(b.ents)
+		ix.spare = b.ents[:0]
 	case b.dead > live:
 		kept := b.ents[:0]
 		for _, e := range b.ents {
@@ -518,10 +551,21 @@ func (ix *hashIndex) remove(pk sqltypes.Key, row sqltypes.Row) {
 	}
 }
 
+// move moves an updated row to the end of its new value's bucket when
+// the indexed column changed; otherwise it keeps its place.
+func (ix *hashIndex) move(pk sqltypes.Key, old, row sqltypes.Row) {
+	if old[ix.col].MapKey() != row[ix.col].MapKey() {
+		ix.remove(pk, old)
+		ix.add(pk, row)
+	}
+}
+
 // clear empties the index (TRUNCATE).
 func (ix *hashIndex) clear() {
 	ix.buckets = make(map[sqltypes.Key]*ixBucket)
 	ix.slot = nil
+	ix.nan = 0
+	ix.spare = nil
 }
 
 // bucket returns the entries for key in insertion order; readers skip
@@ -531,6 +575,14 @@ func (ix *hashIndex) bucket(key sqltypes.Key) []ixEntry {
 		return b.ents
 	}
 	return nil
+}
+
+// live is the number of rows the bucket for key holds.
+func (ix *hashIndex) live(key sqltypes.Key) int {
+	if b, ok := ix.buckets[key]; ok {
+		return len(b.ents) - b.dead
+	}
+	return 0
 }
 
 // lookupTable returns the table (case-insensitive) if it exists.
@@ -751,10 +803,7 @@ func (t *Table) removeFromIndexes(pk sqltypes.Key, row sqltypes.Row) {
 // column it changed; in the others it keeps its place.
 func (t *Table) reindex(pk sqltypes.Key, old, row sqltypes.Row) {
 	for _, ix := range t.indexes {
-		if old[ix.col].MapKey() != row[ix.col].MapKey() {
-			ix.remove(pk, old)
-			ix.add(pk, row)
-		}
+		ix.move(pk, old, row)
 	}
 }
 

@@ -173,14 +173,22 @@ func (x *executor) runCreateView(s *sqlparser.CreateViewStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
+// runDrop drops a table, view or index. It locks a table before the
+// catalog (e.mu): a running statement holds its tables' locks while it
+// resolves names under e.mu, so the reverse order would deadlock a DROP
+// against a statement reading the table being dropped.
 func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 	lc := strings.ToLower(s.Name)
-	x.eng.mu.Lock()
-	defer x.eng.mu.Unlock()
 	switch s.Kind {
 	case sqlparser.DropTable:
-		t, ok := x.eng.tables[lc]
-		if !ok {
+		t, ok := x.eng.lookupTable(lc)
+		if ok {
+			t.mu.Lock()
+			defer t.mu.Unlock()
+		}
+		x.eng.mu.Lock()
+		defer x.eng.mu.Unlock()
+		if !ok || x.eng.tables[lc] != t { // absent, or dropped meanwhile
 			if s.IfExists {
 				return &Result{}, nil
 			}
@@ -189,24 +197,21 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 		delete(x.eng.tables, lc)
 		x.eng.noteDDL(lc)
 		dropped := []string{lc}
-		t.mu.Lock()
 		for ix := range t.indexes {
 			dropped = append(dropped, ix)
 		}
-		t.mu.Unlock()
 		x.eng.forgetObjects(dropped...)
 		if err := x.eng.saveDiskCatalog(t); err != nil {
 			return nil, fmt.Errorf("engine: persisting catalog after dropping %q: %w", s.Name, err)
 		}
 		if d, ok := t.store.(storage.Dropper); ok {
-			t.mu.Lock()
-			err := d.Drop()
-			t.mu.Unlock()
-			if err != nil {
+			if err := d.Drop(); err != nil {
 				return nil, fmt.Errorf("engine: dropping storage of %q: %w", s.Name, err)
 			}
 		}
 	case sqlparser.DropView:
+		x.eng.mu.Lock()
+		defer x.eng.mu.Unlock()
 		if _, ok := x.eng.views[lc]; !ok {
 			if s.IfExists {
 				return &Result{}, nil
@@ -217,7 +222,13 @@ func (x *executor) runDrop(s *sqlparser.DropStmt) (*Result, error) {
 		x.eng.noteDDL(lc)
 		x.eng.forgetObjects(lc)
 	case sqlparser.DropIndex:
+		x.eng.mu.RLock()
+		tables := make([]*Table, 0, len(x.eng.tables))
 		for _, t := range x.eng.tables {
+			tables = append(tables, t)
+		}
+		x.eng.mu.RUnlock()
+		for _, t := range tables {
 			t.mu.Lock()
 			if _, ok := t.indexes[lc]; ok {
 				delete(t.indexes, lc)
@@ -339,6 +350,14 @@ func (t *Table) keyFor(row sqltypes.Row, rowid interface{ Add(int64) int64 }) (s
 	return sqltypes.NewInt(rowid.Add(1)).MapKey(), nil
 }
 
+// isPKRef reports whether e is a reference to tbl's primary-key column
+// under alias (or unqualified).
+func isPKRef(e sqlparser.Expr, tbl *Table, alias string) bool {
+	cr, ok := e.(*sqlparser.ColumnRef)
+	return ok && tbl.pkCol >= 0 && (cr.Table == "" || strings.EqualFold(cr.Table, alias)) &&
+		tbl.schema.ColumnIndex(cr.Name) == tbl.pkCol
+}
+
 func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 	tbl, ok := x.eng.lookupTable(s.Table)
 	if !ok {
@@ -392,7 +411,7 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 			whereProg = x.prog(s.Where, targetFrame)
 		}
 		setProgs := x.setProgs(s.Sets, targetFrame)
-		tbl.store.Scan(func(key sqltypes.Key, row sqltypes.Row) bool {
+		visit := func(key sqltypes.Key, row sqltypes.Row) bool {
 			env.row = row
 			if whereProg != nil {
 				v, e := whereProg(env)
@@ -413,9 +432,14 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 				changes = append(changes, change{key: key, old: row, new: newRow})
 			}
 			return true
-		})
-		x.work.scanned += int64(tbl.store.Len())
-		x.eng.stats.RowsScanned.Add(int64(tbl.store.Len()))
+		}
+		if path, ok := x.indexPath(tbl, alias, s.Where, true); ok {
+			x.readPath(tbl, path, visit)
+		} else {
+			tbl.store.Scan(visit)
+			x.work.scanned += int64(tbl.store.Len())
+			x.eng.stats.RowsScanned.Add(int64(tbl.store.Len()))
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -428,6 +452,10 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 
 		var build *rowIndex
 		var buildRows [][]sqltypes.Row
+		// keyProbe holds each distinct FROM key, in bucket order, while
+		// the target may still be read through its primary key.
+		var keyProbe []sqltypes.Value
+		probePK := len(tKeys) == 1 && isPKRef(tKeys[0], tbl, alias)
 		if len(tKeys) > 0 {
 			build = x.newRowIndex(len(from.rows))
 			fenv := &evalEnv{frame: from.frame, x: x}
@@ -456,6 +484,10 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 				id, isNew := build.bucket(kv, false)
 				if isNew {
 					buildRows = append(buildRows, nil)
+					if probePK {
+						keyProbe = append(keyProbe, kv[0])
+						probePK = exactKey(kv[0])
+					}
 				}
 				buildRows[id] = append(buildRows[id], fr)
 			}
@@ -478,32 +510,9 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 		tenv := &evalEnv{frame: targetFrame, x: x}
 		combined := make(sqltypes.Row, combinedFrame.width)
 		kv := make(sqltypes.Row, len(tKeys))
-		tbl.store.Scan(func(key sqltypes.Key, row sqltypes.Row) bool {
-			candidates := from.rows
-			if build != nil {
-				tenv.row = row
-				null := false
-				for i, p := range tProgs {
-					v, e := p(tenv)
-					if e != nil {
-						err = e
-						return false
-					}
-					if v.IsNull() {
-						null = true
-						break
-					}
-					kv[i] = v
-				}
-				if null {
-					return true
-				}
-				if id := build.lookup(kv); id >= 0 {
-					candidates = buildRows[id]
-				} else {
-					candidates = nil
-				}
-			}
+		// join pairs the target row with its FROM candidates; the first
+		// one the predicate accepts is applied.
+		join := func(key sqltypes.Key, row sqltypes.Row, candidates []sqltypes.Row) bool {
 			for _, fr := range candidates {
 				copy(combined, row)
 				copy(combined[len(row):], fr)
@@ -530,18 +539,59 @@ func (x *executor) runUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 				break // first matching FROM row wins (PostgreSQL-style)
 			}
 			return true
-		})
-		x.work.scanned += int64(tbl.store.Len())
-		x.eng.stats.RowsScanned.Add(int64(tbl.store.Len()))
-		if err != nil {
-			return nil, err
+		}
+		if probePK && len(keyProbe)*lookupShare <= tbl.store.Len() {
+			// The FROM keys name at most a quarter of the target (the
+			// lookupShare rule): read each key's target row through the
+			// primary key, in bucket order.
+			for id, k := range keyProbe {
+				x.readPath(tbl, accessPath{key: k.MapKey()}, func(key sqltypes.Key, row sqltypes.Row) bool {
+					return join(key, row, buildRows[id])
+				})
+				if err != nil {
+					return nil, err
+				}
+			}
+		} else {
+			tbl.store.Scan(func(key sqltypes.Key, row sqltypes.Row) bool {
+				candidates := from.rows
+				if build != nil {
+					tenv.row = row
+					for i, p := range tProgs {
+						v, e := p(tenv)
+						if e != nil {
+							err = e
+							return false
+						}
+						if v.IsNull() {
+							return true
+						}
+						kv[i] = v
+					}
+					if id := build.lookup(kv); id >= 0 {
+						candidates = buildRows[id]
+					} else {
+						candidates = nil
+					}
+				}
+				return join(key, row, candidates)
+			})
+			x.work.scanned += int64(tbl.store.Len())
+			x.eng.stats.RowsScanned.Add(int64(tbl.store.Len()))
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
 	for _, c := range changes {
 		tbl.store.Update(c.key, c.new)
-		tbl.reindex(c.key, c.old, c.new)
 		x.sess.record(undoRec{kind: undoUpdate, table: tbl, key: c.key, old: c.old})
+	}
+	for _, ix := range tbl.indexes {
+		for _, c := range changes {
+			ix.move(c.key, c.old, c.new)
+		}
 	}
 	n := int64(len(changes))
 	x.work.written += n

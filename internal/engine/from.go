@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -66,7 +67,7 @@ func crossJoin(a, b *source) *source {
 func (x *executor) evalTableExpr(te sqlparser.TableExpr, pushWhere sqlparser.Expr) (*source, error) {
 	switch t := te.(type) {
 	case *sqlparser.TableName:
-		return x.scanNamed(t, pushWhere)
+		return x.scanNamed(t, pushWhere, false)
 	case *sqlparser.SubqueryTable:
 		rel, err := x.evalBody(t.Body)
 		if err != nil {
@@ -83,8 +84,10 @@ func (x *executor) evalTableExpr(te sqlparser.TableExpr, pushWhere sqlparser.Exp
 }
 
 // scanNamed resolves a name to a CTE, view or base table and returns its
-// rows under the effective alias.
-func (x *executor) scanNamed(t *sqlparser.TableName, pushWhere sqlparser.Expr) (*source, error) {
+// rows under the effective alias. A base table is read through an index
+// when pushWhere has an access path for it (see indexPath; sparse
+// applies the lookupShare rule).
+func (x *executor) scanNamed(t *sqlparser.TableName, pushWhere sqlparser.Expr, sparse bool) (*source, error) {
 	alias := t.Alias
 	if alias == "" {
 		alias = t.Name
@@ -113,9 +116,7 @@ func (x *executor) scanNamed(t *sqlparser.TableName, pushWhere sqlparser.Expr) (
 
 	// Index pushdown: a conjunct `col = const` on the PK or an indexed
 	// column turns the scan into a point lookup.
-	if rows, ok, err := x.indexLookup(tbl, alias, pushWhere); err != nil {
-		return nil, err
-	} else if ok {
+	if rows, ok := x.indexLookup(tbl, alias, pushWhere, sparse); ok {
 		return &source{frame: f, rows: rows}, nil
 	}
 
@@ -131,68 +132,136 @@ func (x *executor) scanNamed(t *sqlparser.TableName, pushWhere sqlparser.Expr) (
 	return &source{frame: f, rows: rows, scanCharged: true}, nil
 }
 
-// indexLookup tries to satisfy a scan via the primary key or a secondary
-// index using an equality conjunct in where. The table's lock is already
-// held by the statement prologue.
-func (x *executor) indexLookup(tbl *Table, alias string, where sqlparser.Expr) ([]sqltypes.Row, bool, error) {
-	if where == nil {
-		return nil, false, nil
-	}
-	col, val, ok := x.equalityOn(where, tbl, alias)
+// indexLookup tries to satisfy a scan of tbl through an index access
+// path for where (see indexPath), returning the rows in bucket order.
+// The table's lock is already held by the statement prologue.
+func (x *executor) indexLookup(tbl *Table, alias string, where sqlparser.Expr, sparse bool) ([]sqltypes.Row, bool) {
+	path, ok := x.indexPath(tbl, alias, where, sparse)
 	if !ok {
-		return nil, false, nil
+		return nil, false
 	}
-	x.work.scanned++ // a lookup costs about one row touch
-	if tbl.pkCol >= 0 && col == tbl.pkCol {
-		if row, found := tbl.store.Get(val.MapKey()); found {
-			x.eng.stats.RowsScanned.Add(1)
-			return []sqltypes.Row{row}, true, nil
-		}
-		return nil, true, nil
-	}
-	for _, ix := range tbl.indexes {
-		if ix.col != col {
-			continue
-		}
-		var rows []sqltypes.Row
-		for _, e := range ix.bucket(val.MapKey()) {
-			if e.dead {
-				continue
-			}
-			if row, found := tbl.store.Get(e.pk); found {
-				rows = append(rows, row)
-			}
-		}
-		// Rows read through an index count as read, as a scan's do.
-		x.eng.stats.RowsScanned.Add(int64(len(rows)))
-		return rows, true, nil
-	}
-	return nil, false, nil
+	var rows []sqltypes.Row
+	x.readPath(tbl, path, func(_ sqltypes.Key, row sqltypes.Row) bool {
+		rows = append(rows, row)
+		return true
+	})
+	return rows, true
 }
 
-// equalityOn scans the conjuncts of where for `col = literal` (or
-// parameter) on the given table, returning the column index and value.
-func (x *executor) equalityOn(where sqlparser.Expr, tbl *Table, alias string) (int, sqltypes.Value, bool) {
+// lookupShare is the scan-or-lookup rule of UPDATE and of join inputs:
+// a hash-index bucket holding more than 1/lookupShare of the table's
+// rows is read by a scan instead, where one sequential pass beats that
+// many point reads. It is a fixed rule, not a setting: a dense
+// statement (a PageRank round touches every row) stays on the scan
+// path, a frontier-sized one takes the lookup. A single-table SELECT
+// always looks up: its rows come back in bucket order, which the
+// ordering contract of secondary indexes promises.
+const lookupShare = 4
+
+// accessPath is a point read of one table: the row whose primary key
+// is key (ix nil), or the rows in ix's bucket for key.
+type accessPath struct {
+	ix  *hashIndex
+	key sqltypes.Key
+}
+
+// indexPath finds an access path for where on tbl: a top-level
+// `col = constant` conjunct (a literal or a bound parameter) on the
+// primary key, or else on a hash-indexed column, whose bucket must pass
+// the lookupShare rule when sparse is set. Every row the path leaves out makes that conjunct,
+// and so where, not TRUE, so reading only the path's rows and
+// re-checking where on them gives the scan's rows. The constant must
+// compare with stored keys exactly as CompareSQL does: NaN (equal to
+// every number) and numbers beyond ±2^53 (where int and float keys
+// compare lossily) take the scan, as does a number while the index
+// holds NaN rows.
+func (x *executor) indexPath(tbl *Table, alias string, where sqlparser.Expr, sparse bool) (accessPath, bool) {
+	var path accessPath
+	found := false
+	x.eqConjuncts(where, tbl, alias, func(col int, val sqltypes.Value) bool {
+		if !exactKey(val) {
+			return true
+		}
+		if col == tbl.pkCol {
+			path, found = accessPath{key: val.MapKey()}, true
+			return false // a primary-key read is never beaten
+		}
+		if found {
+			return true
+		}
+		for _, ix := range tbl.indexes {
+			if ix.col != col || (ix.nan > 0 && val.IsNumeric()) {
+				continue
+			}
+			if k := val.MapKey(); !sparse || ix.live(k)*lookupShare <= tbl.store.Len() {
+				path, found = accessPath{ix: ix, key: k}, true
+				break
+			}
+		}
+		return true
+	})
+	return path, found
+}
+
+// exactKey reports whether equality with v is decided by its MapKey:
+// true for NULL, strings, booleans and numbers within ±2^53 other than
+// NaN.
+func exactKey(v sqltypes.Value) bool {
+	if !v.IsNumeric() {
+		return true
+	}
+	f := v.Float()
+	return !math.IsNaN(f) && math.Abs(f) <= 1<<53
+}
+
+// readPath visits the rows path reads, in bucket order, until fn
+// returns false. Each row read counts toward engine.rows_scanned, as a
+// scan's rows do; the cost model charges at least one row touch.
+func (x *executor) readPath(tbl *Table, path accessPath, fn func(sqltypes.Key, sqltypes.Row) bool) {
+	read := int64(0)
+	visit := func(pk sqltypes.Key) bool {
+		row, found := tbl.store.Get(pk)
+		if !found {
+			return true
+		}
+		read++
+		return fn(pk, row)
+	}
+	if path.ix == nil {
+		visit(path.key)
+	} else {
+		for _, e := range path.ix.bucket(path.key) {
+			if !e.dead && !visit(e.pk) {
+				break
+			}
+		}
+	}
+	x.work.scanned += max(read, 1)
+	x.eng.stats.RowsScanned.Add(read)
+}
+
+// eqConjuncts calls fn with the column and value of each top-level
+// `col = literal` (or parameter) conjunct of where on the given table,
+// left to right, until fn returns false.
+func (x *executor) eqConjuncts(where sqlparser.Expr, tbl *Table, alias string, fn func(int, sqltypes.Value) bool) bool {
 	switch e := where.(type) {
 	case *sqlparser.LogicalExpr:
 		if e.Op != sqlparser.LogicAnd {
-			return 0, sqltypes.Null, false
+			return true
 		}
-		if c, v, ok := x.equalityOn(e.Left, tbl, alias); ok {
-			return c, v, ok
-		}
-		return x.equalityOn(e.Right, tbl, alias)
+		return x.eqConjuncts(e.Left, tbl, alias, fn) && x.eqConjuncts(e.Right, tbl, alias, fn)
 	case *sqlparser.ComparisonExpr:
 		if e.Op != sqltypes.CmpEQ {
-			return 0, sqltypes.Null, false
+			return true
 		}
 		if c, v, ok := x.colConstPair(e.Left, e.Right, tbl, alias); ok {
-			return c, v, ok
+			return fn(c, v)
 		}
-		return x.colConstPair(e.Right, e.Left, tbl, alias)
-	default:
-		return 0, sqltypes.Null, false
+		if c, v, ok := x.colConstPair(e.Right, e.Left, tbl, alias); ok {
+			return fn(c, v)
+		}
 	}
+	return true
 }
 
 func (x *executor) colConstPair(colSide, constSide sqlparser.Expr, tbl *Table, alias string) (int, sqltypes.Value, bool) {
@@ -387,9 +456,14 @@ func (x *executor) evalJoin(j *sqlparser.JoinExpr, push sqlparser.Expr) (*source
 func (x *executor) evalJoinInput(te sqlparser.TableExpr, w sqlparser.Expr) (*source, error) {
 	var s *source
 	var err error
-	if j, ok := te.(*sqlparser.JoinExpr); ok {
-		s, err = x.evalJoin(j, w)
-	} else {
+	switch t := te.(type) {
+	case *sqlparser.JoinExpr:
+		s, err = x.evalJoin(t, w)
+	case *sqlparser.TableName:
+		// A base table may serve w's `col = constant` conjunct by an
+		// index lookup under the lookupShare rule.
+		s, err = x.scanNamed(t, w, true)
+	default:
 		s, err = x.evalTableExpr(te, nil)
 	}
 	if err != nil || w == nil {

@@ -194,3 +194,87 @@ func TestIndexJoinUsesIndexInOrder(t *testing.T) {
 		t.Errorf("index join partners %v, want %v", got, want)
 	}
 }
+
+// indexedRows counts the rows a table's index holds, across buckets.
+func indexedRows(t *testing.T, eng *Engine, table, index string) int {
+	t.Helper()
+	tbl, ok := eng.lookupTable(table)
+	if !ok {
+		t.Fatalf("no table %s", table)
+	}
+	n := 0
+	for _, b := range tbl.indexes[index].buckets {
+		n += len(b.ents) - b.dead
+	}
+	return n
+}
+
+// TestIndexLeavesOutNulls: a hash index stores no NULL keys, since `=`
+// never matches NULL, so it holds only the table's non-NULL rows, and
+// `col = NULL`, `col IS NULL`, index joins and rollbacks that restore a
+// NULL answer as they would with NULLs indexed.
+func TestIndexLeavesOutNulls(t *testing.T) {
+	for name, cfg := range indexOrderEngines() {
+		t.Run(name, func(t *testing.T) {
+			eng := New(cfg)
+			defer eng.Close()
+			s := eng.NewSession()
+			mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, k ANY)`)
+			mustExec(t, s, `INSERT INTO t VALUES (1, 1), (2, NULL), (3, 2), (4, NULL), (5, 1), (6, 3), (7, NULL), (8, 2)`)
+			mustExec(t, s, `CREATE INDEX t_k ON t (k)`)
+			mustExec(t, s, `CREATE TABLE p (pid BIGINT PRIMARY KEY, pk ANY)`)
+			mustExec(t, s, `INSERT INTO p VALUES (1, NULL), (2, 1)`)
+
+			check := func(step string, nonNull int, cases map[string]string) {
+				t.Helper()
+				if got := indexedRows(t, eng, "t", "t_k"); got != nonNull {
+					t.Errorf("%s: index holds %d rows, want the %d non-NULL ones", step, got, nonNull)
+				}
+				for q, want := range cases {
+					if got := ids(mustExec(t, s, q), 0); got != want {
+						t.Errorf("%s: %s = [%s], want [%s]", step, q, got, want)
+					}
+				}
+			}
+			check("load", 5, map[string]string{
+				`SELECT id FROM t WHERE k = NULL`:                                       "",
+				`SELECT id FROM t WHERE k IS NULL ORDER BY id`:                          "2,4,7",
+				`SELECT id FROM t WHERE k = 1`:                                          "1,5",
+				`SELECT t.id FROM p JOIN t ON p.pk = t.k`:                               "1,5",
+				`SELECT p.pid FROM p LEFT JOIN t ON p.pk = t.k WHERE t.id IS NULL`:      "1",
+				`SELECT COUNT(*) FROM p LEFT JOIN t ON p.pk = t.k`:                      "3",
+				`SELECT t.id FROM t JOIN p ON t.k = p.pk ORDER BY t.id`:                 "1,5",
+				`SELECT t.id FROM (SELECT pk FROM p) AS q JOIN t ON q.pk = t.k`:         "1,5",
+				`SELECT id FROM t WHERE k = 2 AND id > 3`:                               "8",
+				`SELECT COUNT(*) FROM t WHERE k IS NOT NULL`:                            "5",
+				`SELECT t.id FROM t JOIN t AS u ON t.k = u.k WHERE u.id = 2 ORDER BY 1`: "",
+			})
+
+			// A row entering the index from NULL goes to the end of its
+			// bucket; one leaving for NULL drops out of it.
+			mustExec(t, s, `UPDATE t SET k = 1 WHERE id = 2`)
+			mustExec(t, s, `UPDATE t SET k = NULL WHERE id = 1`)
+			check("update", 5, map[string]string{
+				`SELECT id FROM t WHERE k = 1`:                 "5,2",
+				`SELECT id FROM t WHERE k IS NULL ORDER BY id`: "1,4,7",
+				`SELECT t.id FROM p JOIN t ON p.pk = t.k`:      "5,2",
+			})
+
+			// Rollback restores NULLs: a NULL key set, and a deleted NULL row.
+			mustExec(t, s, `BEGIN`)
+			mustExec(t, s, `UPDATE t SET k = 3 WHERE id = 4`)
+			mustExec(t, s, `DELETE FROM t WHERE id = 7`)
+			mustExec(t, s, `UPDATE t SET k = NULL WHERE id = 6`)
+			mustExec(t, s, `ROLLBACK`)
+			check("rollback", 5, map[string]string{
+				`SELECT id FROM t WHERE k = 3`:                 "6",
+				`SELECT id FROM t WHERE k IS NULL ORDER BY id`: "1,4,7",
+			})
+
+			mustExec(t, s, `DELETE FROM t WHERE k IS NULL`)
+			check("delete", 5, map[string]string{`SELECT COUNT(*) FROM t`: "5"})
+			mustExec(t, s, `TRUNCATE TABLE t`)
+			check("truncate", 0, nil)
+		})
+	}
+}
