@@ -111,12 +111,14 @@ perfbench-smoke:
 	done
 
 # A/B end-to-end comparison of the working tree with a base revision on
-# one perfbench workload: BENCH_AB_PAIRS pairs of runs, alternating which
-# side runs first, over the seed range BENCH_AB_SEEDS, then each end-to-end
-# metric's median and quartiles and its change against its
-# BENCHMARK.json bound. The base is extracted into .bench_build/.
+# the perfbench workloads BENCH_AB_WORKLOAD names (one, a comma list, or
+# all of BENCHMARK.json's): per workload BENCH_AB_PAIRS pairs of runs,
+# alternating which side runs first, over the seed range BENCH_AB_SEEDS,
+# then a table of each end-to-end metric's median and quartiles and its
+# change against its BENCHMARK.json bound. The base is extracted into
+# .bench_build/.
 BENCH_AB_BASE ?= HEAD
-BENCH_AB_WORKLOAD ?= dq-wire-shards
+BENCH_AB_WORKLOAD ?= all
 BENCH_AB_PAIRS ?= 10
 BENCH_AB_SEEDS ?= 1-5
 BENCH_AB_SECONDS ?= 30

@@ -1,14 +1,16 @@
-// Command benchab compares the working tree with a base revision on one
-// perfbench workload. It extracts the base revision into
+// Command benchab compares the working tree with a base revision on
+// perfbench workloads. It extracts the base revision into
 // .bench_build/ab-<rev> (with git archive, so nothing is registered in
-// .git), runs the given number of pairs of perfbench runs over a seed
-// range, alternating which side runs first, and prints for each end-to-end
-// metric in BENCHMARK.json the median and quartiles of both sides, the
-// change of the median against the metric's bound, how many pairs the
-// working tree won, and whether the median moved by more than the
-// base's interquartile range. Run it from the repository root:
+// .git), then for each workload runs the given number of pairs of
+// perfbench runs over a seed range, alternating which side runs first,
+// and prints a table: for each end-to-end metric in BENCHMARK.json the
+// median and quartiles of both sides, the change of the median against
+// the metric's bound, how many pairs the working tree won, and whether
+// the median moved by more than the base's interquartile range.
+// -workload takes one name, a comma-separated list, or all (every
+// workload BENCHMARK.json declares). Run it from the repository root:
 //
-//	go run ./cmd/benchab -base HEAD~1 -workload dq-wire-shards -pairs 10 -seeds 1-5 -seconds 30
+//	go run ./cmd/benchab -base HEAD~1 -workload all -pairs 10 -seeds 1-5 -seconds 30
 //
 // or `make bench-ab` (see the Makefile for its variables).
 package main
@@ -38,6 +40,9 @@ type report struct {
 
 // benchmark is the part of BENCHMARK.json the comparison reads.
 type benchmark struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
 	EndToEnd []struct {
 		Name   string  `json:"name"`
 		Better string  `json:"better"`
@@ -47,7 +52,7 @@ type benchmark struct {
 
 func main() {
 	base := flag.String("base", "HEAD", "revision to compare the working tree with")
-	workload := flag.String("workload", "dq-wire-shards", "perfbench workload")
+	workload := flag.String("workload", "all", "perfbench workload, comma-separated workloads, or all")
 	pairs := flag.Int("pairs", 10, "number of base / working-tree run pairs")
 	seeds := flag.String("seeds", "1-5", "seed range lo-hi; pair i runs seed lo + i modulo the range")
 	seconds := flag.Int("seconds", 30, "timed seconds of each run")
@@ -58,7 +63,7 @@ func main() {
 	}
 }
 
-func run(base, workload, seeds string, pairs, seconds int) error {
+func run(base, workloads, seeds string, pairs, seconds int) error {
 	var lo, hi int64
 	if _, err := fmt.Sscanf(seeds, "%d-%d", &lo, &hi); err != nil || hi < lo {
 		return fmt.Errorf("seeds %q: want lo-hi", seeds)
@@ -82,12 +87,61 @@ func run(base, workload, seeds string, pairs, seconds int) error {
 	if err := json.Unmarshal(raw, &bench); err != nil {
 		return fmt.Errorf("BENCHMARK.json: %w", err)
 	}
+	names, err := bench.workloads(workloads)
+	if err != nil {
+		return err
+	}
 	baseDir, err := extract(root, rev)
 	if err != nil {
 		return err
 	}
+	ab := abRun{bench: bench, baseDir: baseDir, workDir: root, rev: rev, seeds: seeds, lo: lo, hi: hi, pairs: pairs, seconds: seconds}
+	for _, w := range names {
+		if err := ab.compare(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	sides := []struct{ name, dir string }{{"base", baseDir}, {"work", root}}
+// abRun is one comparison's settings, shared by its workloads.
+type abRun struct {
+	bench            benchmark
+	baseDir, workDir string
+	rev, seeds       string
+	lo, hi           int64
+	pairs, seconds   int
+}
+
+// workloads resolves the -workload argument against the workloads
+// BENCHMARK.json declares.
+func (b benchmark) workloads(arg string) ([]string, error) {
+	var all []string
+	for _, w := range b.Workloads {
+		all = append(all, w.Name)
+	}
+	if arg == "all" {
+		return all, nil
+	}
+	var names []string
+	for _, n := range strings.Split(arg, ",") {
+		n = strings.TrimSpace(n)
+		found := false
+		for _, w := range all {
+			found = found || w == n
+		}
+		if !found {
+			return nil, fmt.Errorf("workload %q: BENCHMARK.json declares %s", n, strings.Join(all, ", "))
+		}
+		names = append(names, n)
+	}
+	return names, nil
+}
+
+// compare runs the pairs of one workload and prints its table.
+func (ab abRun) compare(workload string) error {
+	bench, lo, hi, pairs, seconds := ab.bench, ab.lo, ab.hi, ab.pairs, ab.seconds
+	sides := []struct{ name, dir string }{{"base", ab.baseDir}, {"work", ab.workDir}}
 	values := map[string][2][]float64{}
 	for i := 0; i < pairs; i++ {
 		seed := lo + int64(i)%(hi-lo+1)
@@ -96,9 +150,9 @@ func run(base, workload, seeds string, pairs, seconds int) error {
 			side := sides[s]
 			rep, err := perfbench(side.dir, workload, seed, seconds)
 			if err != nil {
-				return fmt.Errorf("pair %d %s seed %d: %w", i+1, side.name, seed, err)
+				return fmt.Errorf("%s pair %d %s seed %d: %w", workload, i+1, side.name, seed, err)
 			}
-			fmt.Printf("pair %d %s seed %d: correct %v, %d attempted, %d failed", i+1, side.name, seed,
+			fmt.Printf("%s pair %d %s seed %d: correct %v, %d attempted, %d failed", workload, i+1, side.name, seed,
 				rep.Correct, rep.Attempted, rep.Failed)
 			for _, m := range bench.EndToEnd {
 				v := rep.Metrics[m.Name].Value
@@ -109,12 +163,12 @@ func run(base, workload, seeds string, pairs, seconds int) error {
 			}
 			fmt.Println()
 			if !rep.Correct || rep.Failed > 0 {
-				return fmt.Errorf("pair %d %s seed %d: answers not correct or queries failed", i+1, side.name, seed)
+				return fmt.Errorf("%s pair %d %s seed %d: answers not correct or queries failed", workload, i+1, side.name, seed)
 			}
 		}
 	}
 
-	fmt.Printf("\n%s, %d pairs, seeds %s, %d s runs; base %s\n", workload, pairs, seeds, seconds, rev[:12])
+	fmt.Printf("\n%s, %d pairs, seeds %s, %d s runs; base %s\n", workload, pairs, ab.seeds, seconds, ab.rev[:12])
 	fmt.Printf("%-16s %28s %28s %8s %6s %5s %s\n", "metric", "base median [q1, q3]", "work median [q1, q3]", "change", "bound", "wins", "verdict")
 	for _, m := range bench.EndToEnd {
 		vs := values[m.Name]
@@ -143,6 +197,7 @@ func run(base, workload, seeds string, pairs, seconds int) error {
 		fmt.Printf("%-16s %28s %28s %+7.1f%% %6.2f %2d/%-2d %s\n", m.Name, fmtQ(b), fmtQ(w),
 			100*change, m.Bound, wins, len(vs[0]), verdict)
 	}
+	fmt.Println()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"sqloop/internal/sqltypes"
 )
 
 // sampleSnapshot builds a snapshot exercising every value kind (NaN,
@@ -398,5 +401,36 @@ func TestGroupSnapshotPartialTruncation(t *testing.T) {
 	}
 	if len(got.Tables) != 4 || got.Epoch != 2 || !reflect.DeepEqual(got.PartRounds, snap.PartRounds) {
 		t.Fatalf("intact reload mismatch: %+v", got)
+	}
+}
+
+// TestRowCodecGolden pins the v2 row bytes of one mixed-kind engine row,
+// taken through Value.GoValue as the checkpointer reads it, so snapshots
+// written by earlier builds still load.
+func TestRowCodecGolden(t *testing.T) {
+	vals := []sqltypes.Value{
+		sqltypes.Null, sqltypes.NewInt(-300), sqltypes.NewFloat(-2.5), sqltypes.NewFloat(math.Inf(1)),
+		sqltypes.NewString("héllo"), sqltypes.NewBool(true), sqltypes.NewBool(false), sqltypes.NewInt(math.MaxInt64),
+	}
+	row := make([]any, len(vals))
+	for i, v := range vals {
+		row[i] = v.GoValue()
+	}
+	ts := TableState{Name: "t", Columns: []string{"a", "b", "c", "d", "e", "f", "g", "h"}, Rows: [][]any{row}}
+	const want = "010001d7040200000000000004c002000000000000f07f030668c3a96c6c6f050401feffffffffffffffff01"
+	b, err := appendRows(nil, ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(b); got != want {
+		t.Errorf("appendRows = %s, want %s", got, want)
+	}
+	golden, _ := hex.DecodeString(want)
+	rows, rest, err := readRows(golden, len(ts.Columns))
+	if err != nil || len(rest) != 0 || len(rows) != 1 {
+		t.Fatalf("readRows: %d rows, %d bytes left, %v", len(rows), len(rest), err)
+	}
+	if !reflect.DeepEqual(rows[0], row) {
+		t.Errorf("readRows = %#v, want %#v", rows[0], row)
 	}
 }

@@ -69,10 +69,27 @@ func foldConst(c compiled) compiled {
 // compileExpr lowers e against frame f. It never fails; see the file
 // comment for how static errors are handled.
 func compileExpr(e sqlparser.Expr, f *frame) program {
-	return compileNode(e, f).run
+	return compileSelectExpr(e, f, nil)
 }
 
-func compileNode(e sqlparser.Expr, f *frame) compiled {
+// compileSelectExpr lowers e like compileExpr, reading each aggregate
+// call listed in aggs from its ordinal in the group environment.
+func compileSelectExpr(e sqlparser.Expr, f *frame, aggs map[*sqlparser.FuncCall]int) program {
+	c := compiler{f: f, aggs: aggs}
+	return c.compileNode(e).run
+}
+
+// compiler lowers expressions against one frame. aggs gives each
+// aggregate call of the enclosing select plan its ordinal in
+// evalEnv.aggs; an aggregate it does not list (or a nil aggs, outside a
+// select plan) is misplaced and raises at run time, like evalFunc.
+type compiler struct {
+	f    *frame
+	aggs map[*sqlparser.FuncCall]int
+}
+
+func (c *compiler) compileNode(e sqlparser.Expr) compiled {
+	f := c.f
 	switch t := e.(type) {
 	case *sqlparser.Literal:
 		v := t.Val
@@ -103,7 +120,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		}}
 
 	case *sqlparser.BinaryExpr:
-		l, r := compileNode(t.Left, f), compileNode(t.Right, f)
+		l, r := c.compileNode(t.Left), c.compileNode(t.Right)
 		op := t.Op
 		lp, rp := l.run, r.run
 		return foldConst(compiled{
@@ -122,7 +139,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		})
 
 	case *sqlparser.ComparisonExpr:
-		l, r := compileNode(t.Left, f), compileNode(t.Right, f)
+		l, r := c.compileNode(t.Left), c.compileNode(t.Right)
 		op := t.Op
 		lp, rp := l.run, r.run
 		return foldConst(compiled{
@@ -141,10 +158,10 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		})
 
 	case *sqlparser.LogicalExpr:
-		return compileLogical(t, f)
+		return c.compileLogical(t)
 
 	case *sqlparser.NotExpr:
-		in := compileNode(t.Inner, f)
+		in := c.compileNode(t.Inner)
 		ip := in.run
 		return foldConst(compiled{
 			constant: in.constant,
@@ -161,7 +178,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		})
 
 	case *sqlparser.IsNullExpr:
-		in := compileNode(t.Inner, f)
+		in := c.compileNode(t.Inner)
 		ip, not := in.run, t.Not
 		return foldConst(compiled{
 			constant: in.constant,
@@ -175,13 +192,13 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		})
 
 	case *sqlparser.InExpr:
-		return compileIn(t, f)
+		return c.compileIn(t)
 
 	case *sqlparser.CaseExpr:
-		return compileCase(t, f)
+		return c.compileCase(t)
 
 	case *sqlparser.FuncCall:
-		return compileFunc(t, f)
+		return c.compileFunc(t)
 
 	case *sqlparser.Subquery, *sqlparser.ExistsExpr:
 		// Subqueries run whole select bodies through the executor; the
@@ -189,7 +206,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		return compiled{run: interpProg(e)}
 
 	case *sqlparser.CastExpr:
-		in := compileNode(t.Inner, f)
+		in := c.compileNode(t.Inner)
 		ip, typ := in.run, t.Type
 		return foldConst(compiled{
 			constant: in.constant,
@@ -203,7 +220,7 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 		})
 
 	case *sqlparser.LikeExpr:
-		return compileLike(t, f)
+		return c.compileLike(t)
 
 	default:
 		// Unknown node kinds keep the interpreter's per-evaluation
@@ -213,8 +230,8 @@ func compileNode(e sqlparser.Expr, f *frame) compiled {
 }
 
 // compileLogical mirrors evalLogical's three-valued short-circuit.
-func compileLogical(t *sqlparser.LogicalExpr, f *frame) compiled {
-	l, r := compileNode(t.Left, f), compileNode(t.Right, f)
+func (c *compiler) compileLogical(t *sqlparser.LogicalExpr) compiled {
+	l, r := c.compileNode(t.Left), c.compileNode(t.Right)
 	lp, rp := l.run, r.run
 	and := t.Op == sqlparser.LogicAnd
 	return foldConst(compiled{
@@ -258,17 +275,17 @@ func compileLogical(t *sqlparser.LogicalExpr, f *frame) compiled {
 
 // compileIn compiles the list form of IN; the subquery form keeps the
 // interpreter (it memoizes through executor state).
-func compileIn(t *sqlparser.InExpr, f *frame) compiled {
+func (c *compiler) compileIn(t *sqlparser.InExpr) compiled {
 	if t.Sub != nil {
 		return compiled{run: interpProg(t)}
 	}
-	left := compileNode(t.Left, f)
+	left := c.compileNode(t.Left)
 	items := make([]program, len(t.List))
 	constant := left.constant
 	for i, it := range t.List {
-		c := compileNode(it, f)
-		items[i] = c.run
-		constant = constant && c.constant
+		ic := c.compileNode(it)
+		items[i] = ic.run
+		constant = constant && ic.constant
 	}
 	lp, not := left.run, t.Not
 	return foldConst(compiled{
@@ -308,20 +325,20 @@ func compileIn(t *sqlparser.InExpr, f *frame) compiled {
 	})
 }
 
-func compileCase(t *sqlparser.CaseExpr, f *frame) compiled {
+func (c *compiler) compileCase(t *sqlparser.CaseExpr) compiled {
 	conds := make([]program, len(t.Whens))
 	results := make([]program, len(t.Whens))
 	constant := true
 	for i, w := range t.Whens {
-		c, r := compileNode(w.Cond, f), compileNode(w.Result, f)
-		conds[i], results[i] = c.run, r.run
-		constant = constant && c.constant && r.constant
+		cond, r := c.compileNode(w.Cond), c.compileNode(w.Result)
+		conds[i], results[i] = cond.run, r.run
+		constant = constant && cond.constant && r.constant
 	}
 	var elseP program
 	if t.Else != nil {
-		c := compileNode(t.Else, f)
-		elseP = c.run
-		constant = constant && c.constant
+		e := c.compileNode(t.Else)
+		elseP = e.run
+		constant = constant && e.constant
 	}
 	return foldConst(compiled{
 		constant: constant,
@@ -343,22 +360,21 @@ func compileCase(t *sqlparser.CaseExpr, f *frame) compiled {
 	})
 }
 
-func compileFunc(t *sqlparser.FuncCall, f *frame) compiled {
+func (c *compiler) compileFunc(t *sqlparser.FuncCall) compiled {
 	if isAggregate(t.Name) {
-		fc := t
+		name := t.Name
+		i, ok := c.aggs[t]
 		return compiled{run: func(env *evalEnv) (sqltypes.Value, error) {
-			if env.aggs != nil {
-				if v, ok := env.aggs[fc]; ok {
-					return v, nil
-				}
+			if ok && i < len(env.aggs) {
+				return env.aggs[i], nil
 			}
-			return sqltypes.Null, fmt.Errorf("engine: aggregate %s used outside grouped query", fc.Name)
+			return sqltypes.Null, fmt.Errorf("engine: aggregate %s used outside grouped query", name)
 		}}
 	}
 	cargs := make([]compiled, len(t.Args))
 	constant := true
 	for i, a := range t.Args {
-		cargs[i] = compileNode(a, f)
+		cargs[i] = c.compileNode(a)
 		constant = constant && cargs[i].constant
 	}
 	name := t.Name
@@ -414,9 +430,9 @@ func compileFunc(t *sqlparser.FuncCall, f *frame) compiled {
 // compileLike precompiles constant LIKE patterns into a segment
 // matcher; variable patterns keep per-row likeMatch over compiled
 // children.
-func compileLike(t *sqlparser.LikeExpr, f *frame) compiled {
-	left := compileNode(t.Left, f)
-	pat := compileNode(t.Pattern, f)
+func (c *compiler) compileLike(t *sqlparser.LikeExpr) compiled {
+	left := c.compileNode(t.Left)
+	pat := c.compileNode(t.Pattern)
 	lp, pp, not := left.run, pat.run, t.Not
 
 	if pat.constant {
@@ -612,10 +628,15 @@ type selPlan struct {
 	itemProgs []program
 	having    program
 	groupBy   []program
-	aggs      []*sqlparser.FuncCall
-	// aggArgs holds the compiled argument of each well-formed non-star
-	// aggregate; malformed calls are absent and fail in computeAggregate.
-	aggArgs  map[*sqlparser.FuncCall]program
+	// aggs lists the aggregate calls of the items, HAVING and ORDER BY;
+	// a call's index here is its ordinal in evalEnv.aggs, and aggIdx
+	// maps each call back to it.
+	aggs   []*sqlparser.FuncCall
+	aggIdx map[*sqlparser.FuncCall]int
+	// aggArgs holds, by ordinal, the compiled argument of each
+	// well-formed non-star aggregate; malformed calls have nil and fail
+	// in computeAggregate.
+	aggArgs  []program
 	orderFns []orderKeyFn
 	desc     []bool
 
@@ -633,6 +654,9 @@ type selPlan struct {
 	vecAggs      []vecAggSpec
 	vecAggsAll   bool
 	orderRowOnly bool
+	// aggVec gives, by ordinal, the aggregate's index in vecAggs, or -1
+	// when it runs through computeAggregate.
+	aggVec []int
 }
 
 // vecAggSpec is one vectorizable aggregate: the call and the index of
@@ -656,12 +680,13 @@ type selKey struct {
 // compileHere lowers e without consulting the per-node program cache;
 // the caller is responsible for retaining the result (select plans
 // cache whole compiled item lists, including synthesized star nodes).
-func (x *executor) compileHere(e sqlparser.Expr, f *frame) program {
+// aggs (see compiler) is the select plan's aggregate ordinals, or nil.
+func (x *executor) compileHere(e sqlparser.Expr, f *frame, aggs map[*sqlparser.FuncCall]int) program {
 	if x.eng.cfg.DisableExprCompile {
 		return interpProg(e)
 	}
 	x.eng.exprCompiles.Add(1)
-	return compileExpr(e, f)
+	return compileSelectExpr(e, f, aggs)
 }
 
 // selectPlan returns the (possibly cached) compiled plan for s under f.
@@ -691,16 +716,6 @@ func (x *executor) buildSelectPlan(s *sqlparser.Select, f *frame) (*selPlan, err
 		return nil, err
 	}
 	p := &selPlan{items: items, cols: outputColumns(items)}
-	p.itemProgs = make([]program, len(items))
-	for i, it := range items {
-		p.itemProgs[i] = x.compileHere(it.Expr, f)
-	}
-	if s.Having != nil {
-		p.having = x.compileHere(s.Having, f)
-	}
-	for _, g := range s.GroupBy {
-		p.groupBy = append(p.groupBy, x.compileHere(g, f))
-	}
 	for _, it := range items {
 		collectAggregates(it.Expr, &p.aggs)
 	}
@@ -708,15 +723,27 @@ func (x *executor) buildSelectPlan(s *sqlparser.Select, f *frame) (*selPlan, err
 	for _, o := range s.OrderBy {
 		collectAggregates(o.Expr, &p.aggs)
 	}
-	p.aggArgs = make(map[*sqlparser.FuncCall]program, len(p.aggs))
-	for _, fc := range p.aggs {
+	p.aggIdx = make(map[*sqlparser.FuncCall]int, len(p.aggs))
+	p.aggArgs = make([]program, len(p.aggs))
+	for i, fc := range p.aggs {
+		p.aggIdx[fc] = i
 		if !fc.Star && len(fc.Args) == 1 {
-			p.aggArgs[fc] = x.compileHere(fc.Args[0], f)
+			p.aggArgs[i] = x.compileHere(fc.Args[0], f, nil)
 		}
+	}
+	p.itemProgs = make([]program, len(items))
+	for i, it := range items {
+		p.itemProgs[i] = x.compileHere(it.Expr, f, p.aggIdx)
+	}
+	if s.Having != nil {
+		p.having = x.compileHere(s.Having, f, p.aggIdx)
+	}
+	for _, g := range s.GroupBy {
+		p.groupBy = append(p.groupBy, x.compileHere(g, f, nil))
 	}
 	p.orderRowOnly = true
 	for _, o := range s.OrderBy {
-		fn, rowOnly := x.orderKeyFn(o.Expr, p.cols, f)
+		fn, rowOnly := x.orderKeyFn(o.Expr, p.cols, f, p.aggIdx)
 		p.orderFns = append(p.orderFns, fn)
 		p.desc = append(p.desc, o.Desc)
 		if !rowOnly {
@@ -732,7 +759,9 @@ func (x *executor) buildSelectPlan(s *sqlparser.Select, f *frame) (*selPlan, err
 		if len(s.GroupBy) > 0 || len(p.aggs) > 0 {
 			gbExprs := append([]sqlparser.Expr(nil), s.GroupBy...)
 			p.vecAggsAll = true
-			for _, fc := range p.aggs {
+			p.aggVec = make([]int, len(p.aggs))
+			for i, fc := range p.aggs {
+				p.aggVec[i] = len(p.vecAggs)
 				switch {
 				case fc.Star && fc.Name == "COUNT":
 					p.vecAggs = append(p.vecAggs, vecAggSpec{fc: fc, node: -1})
@@ -740,6 +769,7 @@ func (x *executor) buildSelectPlan(s *sqlparser.Select, f *frame) (*selPlan, err
 					p.vecAggs = append(p.vecAggs, vecAggSpec{fc: fc, node: len(gbExprs)})
 					gbExprs = append(gbExprs, fc.Args[0])
 				default:
+					p.aggVec[i] = -1
 					p.vecAggsAll = false
 				}
 			}
@@ -763,7 +793,7 @@ func isVecAggName(name string) bool {
 // per-row resolution the interpreter used to do inside the sort.
 // rowOnly reports that the key reads only the projected output row, not
 // the row's originating environment.
-func (x *executor) orderKeyFn(e sqlparser.Expr, cols []string, f *frame) (orderKeyFn, bool) {
+func (x *executor) orderKeyFn(e sqlparser.Expr, cols []string, f *frame, aggs map[*sqlparser.FuncCall]int) (orderKeyFn, bool) {
 	switch t := e.(type) {
 	case *sqlparser.Literal:
 		if t.Val.Kind() == sqltypes.KindInt {
@@ -787,7 +817,7 @@ func (x *executor) orderKeyFn(e sqlparser.Expr, cols []string, f *frame) (orderK
 			}
 		}
 	}
-	p := x.compileHere(e, f)
+	p := x.compileHere(e, f, aggs)
 	return func(out sqltypes.Row, env *evalEnv) (sqltypes.Value, error) {
 		return p(env)
 	}, false

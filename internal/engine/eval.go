@@ -138,9 +138,12 @@ func (f *frame) hasColumn(cr *sqlparser.ColumnRef) bool {
 type evalEnv struct {
 	frame *frame
 	row   sqltypes.Row
-	// aggs maps aggregate call nodes (by identity) to their computed
-	// value for the current group.
-	aggs map[*sqlparser.FuncCall]sqltypes.Value
+	// aggs holds the current group's aggregate values, one per call of
+	// the select plan (selPlan.aggs) in plan order. Compiled programs
+	// read them by an ordinal fixed at compile time; the interpreter
+	// finds the ordinal in aggIdx (the plan's selPlan.aggIdx).
+	aggs   []sqltypes.Value
+	aggIdx map[*sqlparser.FuncCall]int
 	// x gives access to bind args, CTE scope and scalar subquery
 	// execution.
 	x *executor
@@ -366,10 +369,8 @@ func isAggregate(name string) bool {
 
 func (env *evalEnv) evalFunc(t *sqlparser.FuncCall) (sqltypes.Value, error) {
 	if isAggregate(t.Name) {
-		if env.aggs != nil {
-			if v, ok := env.aggs[t]; ok {
-				return v, nil
-			}
+		if i, ok := env.aggIdx[t]; ok && i < len(env.aggs) {
+			return env.aggs[i], nil
 		}
 		return sqltypes.Null, fmt.Errorf("engine: aggregate %s used outside grouped query", t.Name)
 	}

@@ -35,6 +35,9 @@ func (x *executor) runCreateTable(s *sqlparser.CreateTableStmt) (*Result, error)
 		}
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		if rs, ok := t.store.(storage.Reserver); ok {
+			rs.Reserve(len(rel.rows))
+		}
 		for _, r := range rel.rows {
 			key := sqltypes.NewInt(x.eng.rowid.Add(1)).MapKey()
 			if err := t.store.Insert(key, r.Clone()); err != nil {

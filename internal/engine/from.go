@@ -315,6 +315,7 @@ func (x *executor) evalJoin(j *sqlparser.JoinExpr, push sqlparser.Expr) (*source
 		return nil, err
 	} else if ok {
 		out.pushed = out.pushed || left.pushed
+		out.pushRaised = out.pushRaised || left.pushRaised
 		return out, nil
 	}
 	right, err := x.evalJoinInput(j.Right, pushRight)
@@ -325,16 +326,17 @@ func (x *executor) evalJoin(j *sqlparser.JoinExpr, push sqlparser.Expr) (*source
 		return nil, err
 	}
 	pushed := left.pushed || right.pushed
+	raised := left.pushRaised || right.pushRaised
 	if j.Type == sqlparser.JoinCross {
 		out := crossJoin(left, right)
-		out.pushed = pushed
+		out.pushed, out.pushRaised = pushed, raised
 		x.work.joined += int64(len(out.rows))
 		return out, nil
 	}
 
 	leftKeys, rightKeys, residual := splitEquiConjuncts(j.On, left.frame, right.frame)
 	outFrame := concatFrames(left.frame, right.frame)
-	out := &source{frame: outFrame, pushed: pushed}
+	out := &source{frame: outFrame, pushed: pushed, pushRaised: raised}
 	nullsRight := make(sqltypes.Row, right.frame.width)
 	joined := int64(0)
 
@@ -486,7 +488,7 @@ func (x *executor) pushFilter(s *source, w sqlparser.Expr) error {
 	if s.pushed || x.validateExpr(w, s.frame, nil) != nil {
 		return nil
 	}
-	rows, err := x.filterRows(w, s, true)
+	rows, err := x.filterRows(w, s, &s.pushRaised)
 	if err != nil {
 		return err
 	}
@@ -1129,7 +1131,10 @@ func (x *executor) tryIndexJoin(j *sqlparser.JoinExpr, left *source, pushRight s
 				if rightProg != nil {
 					// A raising predicate keeps the row, as in pushFilter.
 					renv.row = rb
-					if v, err := rightProg(renv); err == nil && !v.IsTrue() {
+					v, err := rightProg(renv)
+					if err != nil {
+						out.pushRaised = true
+					} else if !v.IsTrue() {
 						continue
 					}
 				}

@@ -208,7 +208,10 @@ func TestPushdownMatchesDerivedTable(t *testing.T) {
 // TestPushdownRaisingRows pins the error cases by name: a predicate
 // that raises only on a row without a join partner must not fail an
 // inner join (nor a LEFT JOIN's right side), and must fail a LEFT JOIN,
-// which keeps that row.
+// which keeps that row. A raising row that has a partner must fail an
+// inner join too, whether the WHERE was pushed into a join input or into
+// an index join's looked-up rows: the full WHERE runs again over the
+// joined rows only when the pushed copy raised.
 func TestPushdownRaisingRows(t *testing.T) {
 	s := newTestSession(t)
 	loadPushdownCorpus(t, s)
@@ -223,6 +226,10 @@ func TestPushdownRaisingRows(t *testing.T) {
 		{"a LEFT JOIN b ON a.ak = b.bk", "a.am > 1", true},
 		{"a JOIN b ON a.ak = b.bk", "CAST(b.bt AS BIGINT) > 1", false},
 		{"a JOIN b ON a.ak = b.bk", "id > 1", true},
+		// a.ra 1 ('x', ak 1.0) raises and has a partner in c.
+		{"a JOIN c ON a.ak = c.cx", "CAST(a.at AS BIGINT) > 0", true},
+		// b.rb 1 (bk 1.0, index-joined) raises and has a partner in a.
+		{"a JOIN b ON a.ak = b.bk", "1 / (b.rb - 1) > 0", true},
 	} {
 		joined, wrapped := pushdownPair(tc.from, "a.ra", tc.where)
 		comparePushdown(t, s, joined, wrapped)

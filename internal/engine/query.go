@@ -325,13 +325,15 @@ type source struct {
 	scanCharged bool
 	// pushed marks rows already filtered by a WHERE pushed below a
 	// join (see pushFilter), so no enclosing join filters them again.
-	pushed bool
+	// pushRaised records that the pushed WHERE raised on some row (and
+	// kept it), so the full WHERE must run again over the joined rows.
+	pushed, pushRaised bool
 }
 
 // outRow pairs a projected output row with the environment it was
-// produced in. env may be nil when no later stage needs it (the batch
-// projection drops it once ORDER BY is known to read only the output
-// row).
+// produced in. env is nil when no later stage needs it: the batch
+// projection and the grouped path drop it once ORDER BY is known to read
+// only the output row.
 type outRow struct {
 	row sqltypes.Row
 	env *evalEnv
@@ -360,8 +362,10 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 	}
 
 	// WHERE (before star expansion, matching interpreter error order).
-	if s.Where != nil {
-		if src.rows, err = x.filterRows(s.Where, src, false); err != nil {
+	// A WHERE pushed whole into one join input that raised on none of
+	// its rows already holds for every joined row (see pushFilter).
+	if s.Where != nil && !(src.pushed && !src.pushRaised && x.validateExpr(s.Where, src.frame, nil) == nil) {
+		if src.rows, err = x.filterRows(s.Where, src, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -405,7 +409,6 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 		// before aggregation), which reproduces the interpreter's error.
 		var groups []*group
 		var vaggs []*vecAgg
-		var vecAggIdx map[*sqlparser.FuncCall]int
 		vecDone := false
 		parCharged := false // morsel workers already billed work.grouped
 		if x.vecOK() && plan.vecGB != nil {
@@ -417,12 +420,7 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 				groups, vaggs, _, vecDone = x.vecGroup(plan, src)
 			}
 		}
-		if vecDone {
-			vecAggIdx = make(map[*sqlparser.FuncCall]int, len(plan.vecAggs))
-			for i, spec := range plan.vecAggs {
-				vecAggIdx[spec.fc] = i
-			}
-		} else {
+		if !vecDone {
 			groups, err = x.groupRows(src, plan.groupBy)
 			if err != nil {
 				return nil, err
@@ -431,8 +429,25 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 		// Counted once, by whichever grouping path finished (a failed
 		// batch attempt falls through to groupRows over the same rows).
 		x.eng.stats.RowsGrouped.Add(int64(len(src.rows)))
+		// One environment serves every group unless an ORDER BY key
+		// reads the environment after projection; then each group keeps
+		// its own, with the aggregate values carved from one slab.
+		nAggs := len(plan.aggs)
+		envs := make([]evalEnv, 1)
+		if !plan.orderRowOnly {
+			envs = make([]evalEnv, len(groups))
+		}
+		slab := make([]sqltypes.Value, len(envs)*nAggs)
+		for i := range envs {
+			envs[i] = evalEnv{frame: src.frame, x: x, aggIdx: plan.aggIdx, aggs: slab[i*nAggs : (i+1)*nAggs : (i+1)*nAggs]}
+		}
 		for gi, g := range groups {
-			env := &evalEnv{frame: src.frame, x: x, aggs: make(map[*sqlparser.FuncCall]sqltypes.Value, len(plan.aggs))}
+			env := &envs[0]
+			var keep *evalEnv // the environment ORDER BY reads, if any
+			if !plan.orderRowOnly {
+				env = &envs[gi]
+				keep = env
+			}
 			switch {
 			case g.first != nil:
 				env.row = g.first
@@ -441,16 +456,16 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 			default:
 				env.row = make(sqltypes.Row, src.frame.width)
 			}
-			for _, fc := range plan.aggs {
-				if i, ok := vecAggIdx[fc]; ok {
-					env.aggs[fc] = vaggs[i].finalize(gi)
+			for i, fc := range plan.aggs {
+				if vecDone && plan.aggVec[i] >= 0 {
+					env.aggs[i] = vaggs[plan.aggVec[i]].finalize(gi)
 					continue
 				}
-				v, err := x.computeAggregate(fc, plan.aggArgs[fc], src.frame, g.rows)
+				v, err := x.computeAggregate(fc, plan.aggArgs[i], src.frame, g.rows)
 				if err != nil {
 					return nil, err
 				}
-				env.aggs[fc] = v
+				env.aggs[i] = v
 			}
 			if plan.having != nil {
 				hv, err := plan.having(env)
@@ -465,7 +480,7 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			outputs = append(outputs, outRow{row: row, env: env})
+			outputs = append(outputs, outRow{row: row, env: keep})
 			if !parCharged {
 				x.work.grouped += g.size()
 			}
@@ -555,31 +570,33 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 // time when the predicate has a batch plan (morsel-parallel on large
 // inputs) and through the compiled row program otherwise. It serves
 // both the WHERE over a FROM clause and the filters pushed below a
-// join. With deferErrs a row whose predicate raises is kept rather than
-// failing the statement: a pushed filter leaves that verdict to the
-// full WHERE over the joined rows, which raises exactly when the row
-// survives the join.
-func (x *executor) filterRows(where sqlparser.Expr, src *source, deferErrs bool) ([]sqltypes.Row, error) {
+// join. With a non-nil raised (deferred errors) a row whose predicate
+// raises is kept rather than failing the statement, and *raised is set:
+// a pushed filter leaves that verdict to the full WHERE over the joined
+// rows, which raises exactly when the row survives the join.
+func (x *executor) filterRows(where sqlparser.Expr, src *source, raised *bool) ([]sqltypes.Row, error) {
 	if vp := x.vecPlanFor(where, src.frame); vp != nil {
 		if x.parallelOK(len(src.rows)) {
-			return x.vecFilterPar(vp, where, src, deferErrs)
+			return x.vecFilterPar(vp, where, src, raised)
 		}
-		return x.vecFilter(vp, where, src, deferErrs)
+		return x.vecFilter(vp, where, src, raised)
 	}
 	env := &evalEnv{frame: src.frame, x: x}
-	return keepRows(x.prog(where, src.frame), env, src.rows, src.rows[:0:0], deferErrs)
+	return keepRows(x.prog(where, src.frame), env, src.rows, src.rows[:0:0], raised)
 }
 
 // keepRows appends to kept the rows for which the row program p yields
-// TRUE (and, with deferErrs, those for which it raises).
-func keepRows(p program, env *evalEnv, rows, kept []sqltypes.Row, deferErrs bool) ([]sqltypes.Row, error) {
+// TRUE (and, with deferred errors, those for which it raises; see
+// filterRows).
+func keepRows(p program, env *evalEnv, rows, kept []sqltypes.Row, raised *bool) ([]sqltypes.Row, error) {
 	for _, r := range rows {
 		env.row = r
 		v, err := p(env)
 		if err != nil {
-			if !deferErrs {
+			if raised == nil {
 				return nil, err
 			}
+			*raised = true
 			kept = append(kept, r)
 			continue
 		}

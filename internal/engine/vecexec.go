@@ -154,9 +154,8 @@ func (x *executor) vecJoinPlan(on sqlparser.Expr, keys []sqlparser.Expr, f *fram
 // vecFilter applies the compiled WHERE batch plan to src.rows,
 // returning the rows the predicate holds for. A batch whose kernels
 // error is re-run through the compiled row program, reproducing the
-// row path's results and error timing exactly; deferErrs is
-// filterRows'.
-func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source, deferErrs bool) ([]sqltypes.Row, error) {
+// row path's results and error timing exactly; raised is filterRows'.
+func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source, raised *bool) ([]sqltypes.Row, error) {
 	vx := x.newVecExec(src.frame, src.rows)
 	kept := src.rows[:0:0]
 	node := &vp.nodes[0]
@@ -177,7 +176,7 @@ func (x *executor) vecFilter(vp *vplan, where sqlparser.Expr, src *source, defer
 				rowProg = x.prog(where, src.frame)
 				env = &evalEnv{frame: src.frame, x: x}
 			}
-			if kept, err = keepRows(rowProg, env, vx.win, kept, deferErrs); err != nil {
+			if kept, err = keepRows(rowProg, env, vx.win, kept, raised); err != nil {
 				return nil, err
 			}
 			continue

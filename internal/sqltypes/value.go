@@ -42,28 +42,46 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL datum. The zero value is NULL.
+//
+// The numeric payloads share one word: n holds an int's two's
+// complement, a float's IEEE 754 bits or a bool's 0/1, so a Value is 32
+// bytes (a string header, n and the kind). Every row, join output and
+// heap log entry pays this size once per column. Because the float is
+// stored as bits, == on two Values compares bits: -0.0 and +0.0 differ
+// and a NaN equals itself. Code that needs SQL equality uses Compare or
+// MapKey.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns a BIGINT value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewString returns a TEXT value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value { return Value{kind: KindBool, n: b2u(v)} }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// i and f read the numeric word as the kind it holds; they are only
+// meaningful for KindInt and KindFloat respectively.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
 
 // Kind reports the dynamic type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -71,28 +89,37 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is SQL NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
-// Int returns the int64 payload. It is only meaningful for KindInt.
-func (v Value) Int() int64 { return v.i }
-
-// Float returns the float64 payload, widening an int payload.
-func (v Value) Float() float64 {
-	if v.kind == KindInt {
-		return float64(v.i)
+// Int returns the int64 payload; it is 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
 	}
-	return v.f
+	return v.i()
 }
 
-// Str returns the string payload. It is only meaningful for KindString.
+// Float returns the float64 payload, widening an int payload; it is 0
+// for any other kind.
+func (v Value) Float() float64 {
+	switch v.kind {
+	case KindInt:
+		return float64(v.i())
+	case KindFloat:
+		return v.f()
+	}
+	return 0
+}
+
+// Str returns the string payload; it is empty for any other kind.
 func (v Value) Str() string { return v.s }
 
-// Bool returns the bool payload. It is only meaningful for KindBool.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the bool payload; it is false for any other kind.
+func (v Value) Bool() bool { return v.kind == KindBool && v.n != 0 }
 
 // IsNumeric reports whether v is an int or float.
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // IsTrue reports whether v is boolean TRUE (NULL and FALSE are not).
-func (v Value) IsTrue() bool { return v.kind == KindBool && v.b }
+func (v Value) IsTrue() bool { return v.kind == KindBool && v.n != 0 }
 
 // String renders the value the way a result printer would.
 func (v Value) String() string {
@@ -100,19 +127,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		if math.IsInf(v.f, 1) {
+		f := v.f()
+		if math.IsInf(f, 1) {
 			return "Infinity"
 		}
-		if math.IsInf(v.f, -1) {
+		if math.IsInf(f, -1) {
 			return "-Infinity"
 		}
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(f, 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -126,13 +154,13 @@ func (v Value) String() string {
 func (v Value) GoValue() any {
 	switch v.kind {
 	case KindInt:
-		return v.i
+		return v.i()
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindString:
 		return v.s
 	case KindBool:
-		return v.b
+		return v.n != 0
 	default:
 		return nil
 	}
@@ -183,9 +211,9 @@ func Compare(a, b Value) (int, error) {
 	if a.IsNumeric() && b.IsNumeric() {
 		if a.kind == KindInt && b.kind == KindInt {
 			switch {
-			case a.i < b.i:
+			case a.i() < b.i():
 				return -1, nil
-			case a.i > b.i:
+			case a.i() > b.i():
 				return 1, nil
 			default:
 				return 0, nil
@@ -216,9 +244,9 @@ func Compare(a, b Value) (int, error) {
 		}
 	case KindBool:
 		switch {
-		case !a.b && b.b:
+		case a.n < b.n:
 			return -1, nil
-		case a.b && !b.b:
+		case a.n > b.n:
 			return 1, nil
 		default:
 			return 0, nil
@@ -332,23 +360,24 @@ func Arith(op ArithOp, a, b Value) (Value, error) {
 		return Null, fmt.Errorf("sqltypes: arithmetic %s on %s and %s", op, a.kind, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
+		ai, bi := a.i(), b.i()
 		switch op {
 		case OpAdd:
-			return NewInt(a.i + b.i), nil
+			return NewInt(ai + bi), nil
 		case OpSub:
-			return NewInt(a.i - b.i), nil
+			return NewInt(ai - bi), nil
 		case OpMul:
-			return NewInt(a.i * b.i), nil
+			return NewInt(ai * bi), nil
 		case OpDiv:
-			if b.i == 0 {
+			if bi == 0 {
 				return Null, fmt.Errorf("sqltypes: division by zero")
 			}
-			return NewInt(a.i / b.i), nil
+			return NewInt(ai / bi), nil
 		case OpMod:
-			if b.i == 0 {
+			if bi == 0 {
 				return Null, fmt.Errorf("sqltypes: division by zero")
 			}
-			return NewInt(a.i % b.i), nil
+			return NewInt(ai % bi), nil
 		}
 	}
 	af, bf := a.Float(), b.Float()
@@ -391,19 +420,17 @@ func (v Value) Hash() uint64 {
 		mix(0)
 	case KindInt:
 		mix(1)
-		u := uint64(v.i)
 		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
+			mix(byte(v.n >> s))
 		}
 	case KindFloat:
 		// Hash integral floats as ints so 1 and 1.0 join.
-		if f := v.f; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		if f := v.f(); f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			return NewInt(int64(f)).Hash()
 		}
 		mix(2)
-		u := math.Float64bits(v.f)
 		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
+			mix(byte(v.n >> s))
 		}
 	case KindString:
 		mix(3)
@@ -412,7 +439,7 @@ func (v Value) Hash() uint64 {
 		}
 	case KindBool:
 		mix(4)
-		if v.b {
+		if v.n != 0 {
 			mix(1)
 		}
 	}
@@ -421,29 +448,38 @@ func (v Value) Hash() uint64 {
 
 // Key returns a canonical comparable representation of v suitable for use
 // as a Go map key in joins and aggregation. Numeric values that are equal
-// under SQL comparison produce equal keys.
+// under SQL comparison produce equal keys. A float stays a float64 field
+// (not its bits) so Go's map equality matches SQL's on it: -0.0 and +0.0
+// (both integral) become the int 0, and a NaN key equals no key, itself
+// included. An int or a bool (0/1) lives in i.
 type Key struct {
 	kind Kind
 	i    int64
 	f    float64
 	s    string
-	b    bool
 }
 
 // MapKey converts v into a Key.
 func (v Value) MapKey() Key {
-	k := Key{kind: v.kind, i: v.i, f: v.f, s: v.s, b: v.b}
-	if v.kind == KindFloat {
-		if f := v.f; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+	switch v.kind {
+	case KindFloat:
+		f := v.f()
+		if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
 			return Key{kind: KindInt, i: int64(f)}
 		}
+		return Key{kind: KindFloat, f: f}
+	case KindString:
+		return Key{kind: KindString, s: v.s}
 	}
-	return k
+	return Key{kind: v.kind, i: int64(v.n)}
 }
 
 // Value converts a Key back to the Value it was derived from.
 func (k Key) Value() Value {
-	return Value{kind: k.kind, i: k.i, f: k.f, s: k.s, b: k.b}
+	if k.kind == KindFloat {
+		return NewFloat(k.f)
+	}
+	return Value{kind: k.kind, n: uint64(k.i), s: k.s}
 }
 
 // CompareTotal orders any two values with a total order usable by

@@ -64,3 +64,26 @@ func TestHeapClearReleasesLog(t *testing.T) {
 		t.Fatalf("Len = %d after Clear", h.Len())
 	}
 }
+
+// TestHeapReserve: a reserved empty heap takes n inserts without growing
+// its log, and a reserve on a non-empty heap changes nothing.
+func TestHeapReserve(t *testing.T) {
+	h := NewHeap().(*heapStore)
+	const n = 1000
+	h.Reserve(n)
+	for i := int64(0); i < n; i++ {
+		if err := h.Insert(sqltypes.NewInt(i).MapKey(), sqltypes.Row{sqltypes.NewInt(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(h.log) != n {
+		t.Errorf("log capacity %d after %d reserved inserts, want %d", cap(h.log), n, n)
+	}
+	h.Reserve(10 * n)
+	if cap(h.log) != n || h.Len() != n {
+		t.Errorf("Reserve on a non-empty heap changed it: cap %d, len %d", cap(h.log), h.Len())
+	}
+	if _, ok := h.Get(sqltypes.NewInt(7).MapKey()); !ok {
+		t.Error("row 7 lost")
+	}
+}

@@ -51,6 +51,10 @@ type (
 	Checkpointer interface{ Checkpoint() error }
 	// Dropper releases the store's on-disk files (DROP TABLE).
 	Dropper interface{ Drop() error }
+	// Reserver takes a hint that n rows are about to be inserted into an
+	// empty store (CREATE TABLE AS), so it can size itself once instead
+	// of growing by doubling. Only the heap implements it.
+	Reserver interface{ Reserve(n int) }
 )
 
 // ErrDuplicateKey is returned by Insert when the key already exists.
@@ -125,6 +129,14 @@ func NewHeap() Store {
 var _ Store = (*heapStore)(nil)
 
 func (h *heapStore) Name() string { return "heap" }
+
+// Reserve sizes an empty store's key map and log for n rows.
+func (h *heapStore) Reserve(n int) {
+	if len(h.log) == 0 && n > 0 {
+		h.rows = make(map[sqltypes.Key]int, n)
+		h.log = make([]heapEntry, 0, n)
+	}
+}
 
 func (h *heapStore) Insert(key sqltypes.Key, row sqltypes.Row) error {
 	if _, ok := h.rows[key]; ok {
