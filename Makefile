@@ -27,11 +27,11 @@ test:
 race:
 	$(GO) test -race . ./internal/core ./internal/engine ./internal/vec ./internal/obs ./internal/ckpt ./internal/wire ./internal/driver ./internal/shard ./internal/serve ./internal/pager
 
-# The morsel dispatcher, worker pool shutdown and background
+# Engine shutdown racing in-flight statements and the background WAL
 # checkpointer under varying GOMAXPROCS: the single-CPU schedule hides
 # ordering bugs that only surface when goroutines truly interleave.
 race-par:
-	$(GO) test -race -cpu 1,2,4 -run 'TestParallel|TestEngineClose|TestBackgroundCheckpointer|TestEffectiveWorkers' ./internal/engine
+	$(GO) test -race -cpu 1,2,4 -run 'TestEngineClose|TestBackgroundCheckpointer' ./internal/engine
 
 # Elastic shards under varying GOMAXPROCS: the fault matrix (shard kills
 # at round boundaries and mid-exchange with standby failover), the
@@ -72,11 +72,12 @@ flakes:
 	if [ $$status -ne 0 ]; then grep -E '^\s*(--- FAIL|FAIL|panic:)|_test\.go:[0-9]+:' $$log | head -n 40; fi; \
 	rm -f $$log; exit $$status
 
-# The deleted pre-option-API shims, legacy per-DSN setters and the
-# AsyncP straggler handoff (its event and option field) must stay deleted
-# everywhere, tests included. Doc files are exempt.
+# The deleted pre-option-API shims, legacy per-DSN setters, the AsyncP
+# straggler handoff (its event and option field) and the intra-query
+# worker option must stay deleted everywhere, tests included. Doc files
+# and extracted bench-ab base revisions are exempt.
 check-deprecated: vet
-	@! grep -rn --include='*.go' -E 'OpenEmbeddedWithCost|ServeWithCost|SetDSNMetrics|SetDSNRetry|SetDSNWireVersion|ShardHandoff|Handoff:' . \
+	@! grep -rn --include='*.go' --exclude-dir=.bench_build -E 'OpenEmbeddedWithCost|ServeWithCost|SetDSNMetrics|SetDSNRetry|SetDSNWireVersion|ShardHandoff|Handoff:|WithWorkers' . \
 		|| { echo 'deleted deprecated symbol referenced'; exit 1; }
 
 # Tier-1 verification (ROADMAP.md): everything must stay green.

@@ -52,7 +52,6 @@ func run() error {
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for round-boundary snapshots (enables crash recovery)")
 		ckptN     = flag.Int("checkpoint-every", 2, "checkpoint every N rounds when -checkpoint-dir is set")
 		noCache   = flag.Bool("no-stmt-cache", false, "disable the statement/plan cache (escape hatch; parses every statement from text)")
-		workers   = flag.Int("workers", 0, "embedded engine: intra-query parallelism degree (0: one per CPU, 1: serial)")
 	)
 	flag.Parse()
 
@@ -88,9 +87,6 @@ func run() error {
 		}
 		if *noCache {
 			extra = append(extra, sqloop.WithoutStmtCache())
-		}
-		if *workers != 0 {
-			extra = append(extra, sqloop.WithWorkers(*workers))
 		}
 		if *shards > 1 {
 			group, err = sqloop.OpenEmbeddedElasticShards(*profile, *shards, *replicas, gopts, opts, extra...)

@@ -27,7 +27,6 @@ func main() {
 	backend := flag.String("backend", "", "storage backend: heap, btree, lsm or disk (default heap)")
 	dataDir := flag.String("data-dir", "", "data directory for -backend disk (default: a temp dir removed on exit)")
 	poolPages := flag.Int("buffer-pool-pages", 0, "disk backend buffer pool size in 8 KiB pages (0 = default)")
-	workers := flag.Int("workers", 0, "intra-query parallelism degree (0 = one per CPU, 1 = serial)")
 	walCkpt := flag.Int64("wal-checkpoint-bytes", 0, "checkpoint a table when its WAL exceeds this many bytes (0 = only explicit checkpoints)")
 	flag.Parse()
 	extra := []sqloop.OpenOption{
@@ -44,9 +43,6 @@ func main() {
 	}
 	if *poolPages != 0 {
 		extra = append(extra, sqloop.WithBufferPoolPages(*poolPages))
-	}
-	if *workers != 0 {
-		extra = append(extra, sqloop.WithWorkers(*workers))
 	}
 	if *walCkpt > 0 {
 		extra = append(extra, sqloop.WithWALCheckpointBytes(*walCkpt))

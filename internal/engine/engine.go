@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -54,11 +55,6 @@ type Config struct {
 	// Set by the differential suites only; results are identical either
 	// way.
 	DisableVectorize bool
-	// Workers sets the intra-query parallelism degree: morsel-driven
-	// parallel scans, joins and aggregation fan out over a shared pool of
-	// Workers goroutines. 0 means runtime.GOMAXPROCS(0); 1 is exactly the
-	// serial path. Results are bit-identical at every setting.
-	Workers int
 	// DataDir is where the disk backend keeps its page and WAL files.
 	// Empty means a throwaway temp directory (removed by Close). Ignored
 	// by the in-memory backends.
@@ -99,10 +95,6 @@ func Profile(name string) (Config, error) {
 // connection (the paper's "new process per JDBC connection").
 type Engine struct {
 	cfg Config
-
-	// pool runs morsel-parallel query regions; nil when the effective
-	// worker count is 1 (serial execution). Closed (drained) by Close.
-	pool *workerPool
 
 	mu     sync.RWMutex // guards catalog maps
 	tables map[string]*Table
@@ -154,6 +146,12 @@ type Engine struct {
 	// otherwise). Guarded by pagerMu.
 	ckptStop chan struct{}
 	ckptDone chan struct{}
+
+	// closeMu is held shared by every statement and exclusively by
+	// Close, so Close waits for in-flight statements and none runs over
+	// released storage afterwards; closed is set by Close under it.
+	closeMu sync.RWMutex
+	closed  bool
 
 	// recoverErr is a failed disk-catalog recovery (set once in New,
 	// read-only after); while non-nil every statement errors instead of
@@ -212,21 +210,10 @@ func New(cfg Config) *Engine {
 	case cfg.StmtCacheSize == 0:
 		e.stmts = newStmtCache(defaultStmtCacheSize)
 	}
-	if w := effectiveWorkers(cfg); w > 1 {
-		e.pool = newWorkerPool(w)
-	}
 	if cfg.Backend == storage.KindDisk && cfg.DataDir != "" {
 		e.recoverErr = e.recoverDiskCatalog()
 	}
 	return e
-}
-
-// Workers reports the effective intra-query parallelism degree.
-func (e *Engine) Workers() int {
-	if e.pool == nil {
-		return 1
-	}
-	return e.pool.size
 }
 
 // Dialect reports the engine's SQL dialect profile.
@@ -386,15 +373,18 @@ func (e *Engine) Checkpoint() error {
 	return db.Checkpoint()
 }
 
-// Close drains the worker pool (in-flight parallel morsels finish;
-// queries started after Close run serially), stops the background
+// ErrClosed is returned for a statement issued after Close.
+var ErrClosed = errors.New("engine: closed")
+
+// Close waits for in-flight statements, stops the background
 // checkpointer, then releases the disk backend's files (flushing dirty
 // state first) and removes the data directory when the engine created
-// it as a temp dir. Safe to call more than once.
+// it as a temp dir. Statements issued afterwards fail with ErrClosed.
+// Safe to call more than once.
 func (e *Engine) Close() error {
-	if e.pool != nil {
-		e.pool.close()
-	}
+	e.closeMu.Lock()
+	e.closed = true
+	e.closeMu.Unlock()
 	e.pagerMu.Lock()
 	defer e.pagerMu.Unlock()
 	if e.ckptStop != nil {
@@ -715,6 +705,11 @@ func (s *Session) ExecStmt(st sqlparser.Statement, args []sqltypes.Value) (*Resu
 // execStmt executes a parsed statement, optionally reusing compiled
 // expression programs cached on its statement-cache entry.
 func (s *Session) execStmt(st sqlparser.Statement, args []sqltypes.Value, progs *progCache) (*Result, error) {
+	s.eng.closeMu.RLock()
+	defer s.eng.closeMu.RUnlock()
+	if s.eng.closed {
+		return nil, ErrClosed
+	}
 	s.eng.stats.Statements.Add(1)
 	start := time.Now()
 	x := &executor{sess: s, eng: s.eng, args: args, progs: progs}

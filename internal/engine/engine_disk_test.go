@@ -2,12 +2,16 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"sqloop/internal/pager"
 	"sqloop/internal/sqlparser"
 	"sqloop/internal/sqltypes"
 	"sqloop/internal/storage"
@@ -317,4 +321,128 @@ func TestDiskBackendUnlogged(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireRestarted("closed", dir)
+}
+
+// TestBackgroundCheckpointerBoundsWAL: with Config.WALCheckpointBytes
+// set, a long DML-only run (no middleware snapshots, no explicit
+// Checkpoint calls) must keep each table's WAL bounded; without it the
+// WAL grows with the workload.
+func TestBackgroundCheckpointerBoundsWAL(t *testing.T) {
+	const threshold = 2048
+	run := func(ckpt int64) int64 {
+		eng := New(Config{Backend: storage.KindDisk, DataDir: t.TempDir(), WALCheckpointBytes: ckpt})
+		defer eng.Close()
+		s := eng.NewSession()
+		mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`)
+		for i := 0; i < 600; i++ {
+			mustExec(t, s, `INSERT INTO t VALUES (?, ?)`,
+				sqltypes.NewInt(int64(i)), sqltypes.NewString(fmt.Sprintf("value-%d", i)))
+		}
+		tbl, ok := eng.lookupTable("t")
+		if !ok {
+			t.Fatal("table t missing")
+		}
+		ds := tbl.store.(*pager.DiskStore)
+		if ckpt > 0 {
+			// Quiesce: give the checkpointer a few ticks to truncate the
+			// final tail.
+			deadline := time.Now().Add(2 * time.Second)
+			for ds.WALSize() > ckpt && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
+		return ds.WALSize()
+	}
+	bounded := run(threshold)
+	unbounded := run(0)
+	if bounded > threshold {
+		t.Errorf("background checkpointer left WAL at %d bytes, threshold %d", bounded, threshold)
+	}
+	if unbounded <= threshold {
+		t.Errorf("control run without checkpointer ended at %d bytes; workload too small to prove bounding", unbounded)
+	}
+	// Background truncation must not cost durability: a run under the
+	// checkpointer, closed and reopened from the same directory, recovers
+	// every committed row.
+	dir := t.TempDir()
+	eng := New(Config{Backend: storage.KindDisk, DataDir: dir, WALCheckpointBytes: threshold})
+	s := eng.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id BIGINT PRIMARY KEY, v TEXT)`)
+	for i := 0; i < 200; i++ {
+		mustExec(t, s, `INSERT INTO t VALUES (?, ?)`, sqltypes.NewInt(int64(i)), sqltypes.NewString("x"))
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := New(Config{Backend: storage.KindDisk, DataDir: dir})
+	defer reopened.Close()
+	res := mustExec(t, reopened.NewSession(), `SELECT COUNT(*) FROM t`)
+	if len(res.Rows) != 1 || res.Rows[0][0].GoValue() != int64(200) {
+		t.Fatalf("recovered %s rows, want 200", renderResult(res))
+	}
+}
+
+// TestEngineCloseStopsCheckpointer closes a disk engine, whose
+// background WAL checkpointer is running, while queries are in flight:
+// Close must wait for them to finish with unchanged results, later
+// statements must fail with ErrClosed, Close must be safe to call
+// twice, and the checkpointer goroutine must exit (no leak).
+func TestEngineCloseStopsCheckpointer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := New(Config{Backend: storage.KindDisk, DataDir: t.TempDir(), WALCheckpointBytes: 2048})
+	s := eng.NewSession()
+	mustExec(t, s, `CREATE TABLE t (a BIGINT, b BIGINT)`)
+	for i := 0; i < 3000; i++ {
+		mustExec(t, s, `INSERT INTO t VALUES (?, ?)`,
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i%13)))
+	}
+	const q = `SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b ORDER BY 1`
+	want := renderResult(mustExec(t, s, q))
+
+	// Holding t's lock parks the queries inside their statements until
+	// Close has been called.
+	tbl, _ := eng.lookupTable("t")
+	tbl.mu.Lock()
+	started := eng.Stats().Statements
+	done := make(chan error, 4)
+	for i := 0; i < 4; i++ {
+		go func() {
+			res, err := eng.NewSession().Exec(q)
+			if err == nil && renderResult(res) != want {
+				err = fmt.Errorf("result changed under concurrent Close")
+			}
+			done <- err
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for eng.Stats().Statements < started+4 {
+		if time.Now().After(deadline) {
+			t.Fatal("queries never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	tbl.mu.Unlock()
+	for i := 0; i < 4; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("query racing Close: %v", err)
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec(q); !errors.Is(err, ErrClosed) {
+		t.Fatalf("query after Close: err = %v, want ErrClosed", err)
+	}
+	if err := eng.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d before, %d after Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"sqloop/internal/obs"
 	"sqloop/internal/sqlparser"
 	"sqloop/internal/sqltypes"
 	"sqloop/internal/storage"
@@ -613,20 +612,17 @@ func TestCostModelScalesByProfile(t *testing.T) {
 
 // TestRowsGroupedCountsGroupInput checks Stats.RowsGrouped counts each
 // row entering a GROUP BY (or a whole-input aggregate) once, on the
-// batch, morsel-parallel and row grouping paths alike.
+// batch and row grouping paths alike, over an input spanning several
+// batch windows.
 func TestRowsGroupedCountsGroupInput(t *testing.T) {
-	lowerMorsels(t)
-	const n = parRowsBig
+	const n = bigRows
 	for name, cfg := range map[string]Config{
-		"batch":    {Workers: 1},
-		"parallel": {Workers: 4},
-		"rows":     {Workers: 1, DisableVectorize: true},
+		"batch": {},
+		"rows":  {DisableVectorize: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := New(cfg)
 			defer eng.Close()
-			reg := obs.NewRegistry()
-			eng.SetMetrics(reg)
 			s := eng.NewSession()
 			mustExec(t, s, `CREATE TABLE g (id BIGINT PRIMARY KEY, k BIGINT)`)
 			for i := 0; i < n; i++ {
@@ -647,8 +643,8 @@ func TestRowsGroupedCountsGroupInput(t *testing.T) {
 					t.Errorf("%s: RowsGrouped grew by %d, want %d", q, got, want)
 				}
 			}
-			if morsels := reg.Counter("sqloop_parallel_morsels_total").Value(); (morsels > 0) != (cfg.Workers > 1) {
-				t.Errorf("workers=%d ran %d morsels", cfg.Workers, morsels)
+			if batches, _ := eng.VecStats(); (batches > 0) != !cfg.DisableVectorize {
+				t.Errorf("%s path ran %d batches", name, batches)
 			}
 		})
 	}

@@ -127,9 +127,7 @@ func (x *executor) scanNamed(t *sqlparser.TableName, pushWhere sqlparser.Expr, s
 	})
 	x.work.scanned += int64(len(rows))
 	x.eng.stats.RowsScanned.Add(int64(len(rows)))
-	// scanCharged lets a downstream parallel region move this charge onto
-	// its morsel workers (see takeScanCharge).
-	return &source{frame: f, rows: rows, scanCharged: true}, nil
+	return &source{frame: f, rows: rows}, nil
 }
 
 // indexLookup tries to satisfy a scan of tbl through an index access
@@ -341,81 +339,11 @@ func (x *executor) evalJoin(j *sqlparser.JoinExpr, push sqlparser.Expr) (*source
 	joined := int64(0)
 
 	if len(leftKeys) > 0 {
-		// Hash join: build on right, probe from left. Distinct key rows
-		// get dense bucket ids; buildRows holds each bucket's rows.
-		rightProgs := make([]program, len(rightKeys))
-		for i, ke := range rightKeys {
-			rightProgs[i] = x.prog(ke, right.frame)
-		}
-		var build *rowIndex
-		var buildRows [][]sqltypes.Row
-		if x.parallelOK(len(right.rows)) {
-			var err error
-			build, buildRows, err = x.parBuildJoin(rightProgs, right)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			build = x.newRowIndex(len(right.rows))
-			renv := &evalEnv{frame: right.frame, x: x}
-			kvals := make(sqltypes.Row, len(rightKeys))
-			for _, rb := range right.rows {
-				renv.row = rb
-				null := false
-				for i, p := range rightProgs {
-					v, err := p(renv)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() {
-						null = true
-						break
-					}
-					kvals[i] = v
-				}
-				if null {
-					continue // NULL keys never match
-				}
-				id, isNew := build.bucket(kvals, false)
-				if isNew {
-					buildRows = append(buildRows, nil)
-				}
-				buildRows[id] = append(buildRows[id], rb)
-			}
-		}
-		leftProgs := make([]program, len(leftKeys))
-		for i, ke := range leftKeys {
-			leftProgs[i] = x.prog(ke, left.frame)
-		}
-		hj := &hashJoinProbe{
-			joinType:   j.Type,
-			leftFrame:  left.frame,
-			outFrame:   outFrame,
-			leftKeys:   leftKeys,
-			leftProgs:  leftProgs,
-			resProg:    x.residualProg(residual, outFrame),
-			build:      build,
-			buildRows:  buildRows,
-			nullsRight: nullsRight,
-		}
-		vp := x.vecJoinPlan(j.On, leftKeys, left.frame)
-		if x.parallelOK(len(left.rows)) {
-			rows, jn, err := x.parProbeJoin(hj, vp, left)
-			if err != nil {
-				return nil, err
-			}
-			out.rows = rows
-			// The per-row join cost was charged (and slept) inside the
-			// parallel region; only the engine-wide stat remains.
-			x.eng.stats.RowsJoined.Add(jn)
-			return out, nil
-		}
-		rows, jn, err := hj.probeSlice(x, vp, left.rows)
+		rows, jn, err := x.hashJoin(j, left, right, leftKeys, rightKeys, residual, outFrame)
 		if err != nil {
 			return nil, err
 		}
-		out.rows = rows
-		joined = jn
+		out.rows, joined = rows, jn
 	} else {
 		// Nested loop.
 		onProg := x.prog(j.On, outFrame)
@@ -584,36 +512,57 @@ func onKeysOnly(j *sqlparser.JoinExpr) bool {
 	return ok
 }
 
-// hashJoinProbe carries the probe phase's shared, effectively-immutable
-// state: the build index and its buckets, the compiled key and residual
-// programs, and the join shape. probeSlice runs the probe over a slice
-// of left rows with per-call environments and buffers, so the serial
-// probe and every parallel morsel share one code path (and, per morsel,
-// identical window boundaries — morselRows is a multiple of
-// vec.BatchSize).
-type hashJoinProbe struct {
-	joinType   sqlparser.JoinType
-	leftFrame  *frame
-	outFrame   *frame
-	leftKeys   []sqlparser.Expr
-	leftProgs  []program
-	resProg    program
-	build      *rowIndex
-	buildRows  [][]sqltypes.Row
-	nullsRight sqltypes.Row
-}
+// hashJoin joins left and right on the ON clause's equi-conjuncts:
+// it builds an index over the right rows' keys (distinct key rows get
+// dense bucket ids; buildRows holds each bucket's rows in input order),
+// then probes it with the left rows, applying the residual conjuncts to
+// each matching pair. It returns the joined rows in probe-row order and
+// the matched-pair count. The probe evaluates its keys batch-at-a-time
+// when they have a batch plan; a window whose kernel errors re-runs row
+// at a time, reproducing the interpreter's error ordering.
+func (x *executor) hashJoin(j *sqlparser.JoinExpr, left, right *source, leftKeys, rightKeys, residual []sqlparser.Expr, outFrame *frame) ([]sqltypes.Row, int64, error) {
+	rightProgs := make([]program, len(rightKeys))
+	for i, ke := range rightKeys {
+		rightProgs[i] = x.prog(ke, right.frame)
+	}
+	build := x.newRowIndex(len(right.rows))
+	var buildRows [][]sqltypes.Row
+	renv := &evalEnv{frame: right.frame, x: x}
+	kvals := make(sqltypes.Row, len(rightKeys))
+	for _, rb := range right.rows {
+		renv.row = rb
+		null := false
+		for i, p := range rightProgs {
+			v, err := p(renv)
+			if err != nil {
+				return nil, 0, err
+			}
+			if v.IsNull() {
+				null = true
+				break
+			}
+			kvals[i] = v
+		}
+		if null {
+			continue // NULL keys never match
+		}
+		id, isNew := build.bucket(kvals, false)
+		if isNew {
+			buildRows = append(buildRows, nil)
+		}
+		buildRows[id] = append(buildRows[id], rb)
+	}
 
-// probeSlice probes the build index with rows, returning the joined
-// output in probe-row order and the matched-pair count. x is the
-// executor the probe's environments evaluate under (a morsel's child
-// executor on the parallel path). vp, when non-nil, enables the batch
-// key-evaluation probe; errors fall back to the row probe per window,
-// reproducing the interpreter's error ordering.
-func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row) ([]sqltypes.Row, int64, error) {
+	leftProgs := make([]program, len(leftKeys))
+	for i, ke := range leftKeys {
+		leftProgs[i] = x.prog(ke, left.frame)
+	}
+	resProg := x.residualProg(residual, outFrame)
+	nullsRight := make(sqltypes.Row, right.frame.width)
 	var out []sqltypes.Row
 	joined := int64(0)
-	cenv := &evalEnv{frame: hj.outFrame, x: x}
-	combined := make(sqltypes.Row, hj.outFrame.width)
+	cenv := &evalEnv{frame: outFrame, x: x}
+	combined := make(sqltypes.Row, outFrame.width)
 	appendJoined := func(ra, rb sqltypes.Row) {
 		row := make(sqltypes.Row, 0, len(ra)+len(rb))
 		row = append(row, ra...)
@@ -628,11 +577,11 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 		matched := false
 		for _, rb := range bucket {
 			joined++
-			if hj.resProg != nil {
+			if resProg != nil {
 				copy(combined, ra)
 				copy(combined[len(ra):], rb)
 				cenv.row = combined
-				v, err := hj.resProg(cenv)
+				v, err := resProg(cenv)
 				if err != nil {
 					return err
 				}
@@ -643,8 +592,8 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 			matched = true
 			appendJoined(ra, rb)
 		}
-		if !matched && hj.joinType == sqlparser.JoinLeft {
-			appendJoined(ra, hj.nullsRight)
+		if !matched && j.Type == sqlparser.JoinLeft {
+			appendJoined(ra, nullsRight)
 		}
 		return nil
 	}
@@ -653,12 +602,12 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 	// a batch kernel errored and the window re-runs to reproduce the
 	// interpreter's error ordering.
 	rowProbe := func(rows []sqltypes.Row) error {
-		lenv := &evalEnv{frame: hj.leftFrame, x: x}
-		lvals := make(sqltypes.Row, len(hj.leftKeys))
+		lenv := &evalEnv{frame: left.frame, x: x}
+		lvals := make(sqltypes.Row, len(leftKeys))
 		for _, ra := range rows {
 			lenv.row = ra
 			null := false
-			for i, p := range hj.leftProgs {
+			for i, p := range leftProgs {
 				v, err := p(lenv)
 				if err != nil {
 					return err
@@ -671,8 +620,8 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 			}
 			var bucket []sqltypes.Row
 			if !null {
-				if id := hj.build.lookup(lvals); id >= 0 {
-					bucket = hj.buildRows[id]
+				if id := build.lookup(lvals); id >= 0 {
+					bucket = buildRows[id]
 				}
 			}
 			if err := probeRow(ra, bucket); err != nil {
@@ -681,20 +630,20 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 		}
 		return nil
 	}
-	if vp != nil {
+	if vp := x.vecJoinPlan(j.On, leftKeys, left.frame); vp != nil {
 		// Batch probe: evaluate the key columns per window, drop
 		// NULL-keyed rows from the selection key-by-key (NULL keys
 		// never match, and later key expressions must not run on them,
 		// matching the row path's early break), hash the surviving
 		// rows column-wise, then probe the build index with the
 		// precomputed hashes in row order.
-		vx := x.newVecExec(hj.leftFrame, rows)
-		keyVecs := make([]*vec.Vec, len(hj.leftKeys))
-		lvals := make(sqltypes.Row, len(hj.leftKeys))
+		vx := x.newVecExec(left.frame, left.rows)
+		keyVecs := make([]*vec.Vec, len(leftKeys))
+		lvals := make(sqltypes.Row, len(leftKeys))
 		hash := make([]uint64, vec.BatchSize)
 		isKeyed := make([]bool, vec.BatchSize)
 		var selBuf [2][]int
-		cur := vec.NewCursor(len(rows))
+		cur := vec.NewCursor(len(left.rows))
 		for {
 			lo, hi, ok := cur.Next()
 			if !ok {
@@ -742,8 +691,8 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 					for k, v := range keyVecs {
 						lvals[k] = v.Get(i)
 					}
-					if id := hj.build.lookupPre(hash[i], lvals); id >= 0 {
-						bucket = hj.buildRows[id]
+					if id := build.lookupPre(hash[i], lvals); id >= 0 {
+						bucket = buildRows[id]
 					}
 				}
 				if err := probeRow(vx.win[i], bucket); err != nil {
@@ -751,7 +700,7 @@ func (hj *hashJoinProbe) probeSlice(x *executor, vp *vplan, rows []sqltypes.Row)
 				}
 			}
 		}
-	} else if err := rowProbe(rows); err != nil {
+	} else if err := rowProbe(left.rows); err != nil {
 		return nil, 0, err
 	}
 	return out, joined, nil

@@ -6,7 +6,6 @@ import (
 	"regexp"
 	"testing"
 
-	"sqloop/internal/obs"
 	"sqloop/internal/sqltypes"
 	"sqloop/internal/storage"
 )
@@ -273,30 +272,29 @@ func TestPushdownShrinksJoin(t *testing.T) {
 	}
 }
 
-// TestPushdownParallelFilter runs the pushed filter through the
-// morsel-parallel batch path, with a row that raises but has no partner.
-func TestPushdownParallelFilter(t *testing.T) {
-	lowerMorsels(t)
-	eng := New(Config{Workers: 4})
+// TestPushdownBatchFilterRaisingRow runs the pushed filter through the
+// batch path over several windows, with a row that raises but has no
+// partner.
+func TestPushdownBatchFilterRaisingRow(t *testing.T) {
+	eng := New(Config{})
 	defer eng.Close()
-	reg := obs.NewRegistry()
-	eng.SetMetrics(reg)
 	s := eng.NewSession()
 	loadPushdownCorpus(t, s)
 	mustExec(t, s, `CREATE TABLE g (rg BIGINT PRIMARY KEY, gk DOUBLE, gx DOUBLE)`)
-	for i := 0; i < parRowsBig; i++ {
+	for i := 0; i < bigRows; i++ {
 		k := pdF(float64(i % 9))
 		if i == 2500 {
 			k = pdF(1000) // no partner in b
 		}
 		mustExec(t, s, `INSERT INTO g VALUES (?, ?, ?)`, sqltypes.NewInt(int64(i)), k, pdF(float64(i)))
 	}
+	before, _ := eng.VecStats()
 	for _, w := range []string{"gx > 2000", "1 / (rg - 2500) > 0", "gx < 0"} {
 		joined := "SELECT g.rg, b.rb FROM g JOIN b ON g.gk = b.bk WHERE " + w + " ORDER BY g.rg, b.rb"
 		wrapped := "SELECT rg, rb FROM (SELECT * FROM g JOIN b ON g.gk = b.bk) AS d WHERE " + w + " ORDER BY rg, rb"
 		comparePushdown(t, s, joined, wrapped)
 	}
-	if reg.Counter("sqloop_parallel_morsels_total").Value() == 0 {
-		t.Error("the pushed filter ran no morsels")
+	if after, _ := eng.VecStats(); after == before {
+		t.Error("the queries ran no batches")
 	}
 }

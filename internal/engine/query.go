@@ -315,14 +315,9 @@ func encodeRowKey(r sqltypes.Row) string {
 }
 
 // source is a materialized FROM item: a frame plus its rows.
-// scanCharged marks a source whose rows were already billed to
-// work.scanned by a full table scan; the morsel dispatcher uses it to
-// move that charge onto the workers so the cost model's sleeps overlap
-// (see takeScanCharge).
 type source struct {
-	frame       *frame
-	rows        []sqltypes.Row
-	scanCharged bool
+	frame *frame
+	rows  []sqltypes.Row
 	// pushed marks rows already filtered by a WHERE pushed below a
 	// join (see pushFilter), so no enclosing join filters them again.
 	// pushRaised records that the pushed WHERE raised on some row (and
@@ -410,15 +405,8 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 		var groups []*group
 		var vaggs []*vecAgg
 		vecDone := false
-		parCharged := false // morsel workers already billed work.grouped
 		if x.vecOK() && plan.vecGB != nil {
-			if x.parallelOK(len(src.rows)) {
-				groups, vaggs, vecDone = x.vecGroupPar(plan, src)
-				parCharged = vecDone
-			}
-			if !vecDone {
-				groups, vaggs, _, vecDone = x.vecGroup(plan, src)
-			}
+			groups, vaggs, vecDone = x.vecGroup(plan, src)
 		}
 		if !vecDone {
 			groups, err = x.groupRows(src, plan.groupBy)
@@ -481,16 +469,10 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 				return nil, err
 			}
 			outputs = append(outputs, outRow{row: row, env: keep})
-			if !parCharged {
-				x.work.grouped += g.size()
-			}
+			x.work.grouped += g.size()
 		}
 	} else if x.vecOK() && plan.vecItems.useVec() && (len(plan.orderFns) == 0 || plan.orderRowOnly) {
-		if x.parallelOK(len(src.rows)) {
-			outputs, err = x.vecProjectPar(plan, src)
-		} else {
-			outputs, err = x.vecProject(plan, src)
-		}
+		outputs, err = x.vecProject(plan, src)
 		if err != nil {
 			return nil, err
 		}
@@ -567,18 +549,15 @@ func (x *executor) evalSelect(s *sqlparser.Select) (*relation, error) {
 }
 
 // filterRows returns the rows of src for which where holds, batch-at-a-
-// time when the predicate has a batch plan (morsel-parallel on large
-// inputs) and through the compiled row program otherwise. It serves
-// both the WHERE over a FROM clause and the filters pushed below a
-// join. With a non-nil raised (deferred errors) a row whose predicate
-// raises is kept rather than failing the statement, and *raised is set:
-// a pushed filter leaves that verdict to the full WHERE over the joined
-// rows, which raises exactly when the row survives the join.
+// time when the predicate has a batch plan and through the compiled row
+// program otherwise. It serves both the WHERE over a FROM clause and
+// the filters pushed below a join. With a non-nil raised (deferred
+// errors) a row whose predicate raises is kept rather than failing the
+// statement, and *raised is set: a pushed filter leaves that verdict to
+// the full WHERE over the joined rows, which raises exactly when the
+// row survives the join.
 func (x *executor) filterRows(where sqlparser.Expr, src *source, raised *bool) ([]sqltypes.Row, error) {
 	if vp := x.vecPlanFor(where, src.frame); vp != nil {
-		if x.parallelOK(len(src.rows)) {
-			return x.vecFilterPar(vp, where, src, raised)
-		}
 		return x.vecFilter(vp, where, src, raised)
 	}
 	env := &evalEnv{frame: src.frame, x: x}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"sqloop/internal/sqlparser"
@@ -20,12 +22,115 @@ func newVecTestPair(t *testing.T, load func(t *testing.T, s *Session)) (vecOn, v
 	return vecOn, vecOff
 }
 
+// bigRows sizes the large fixtures to span several batch windows.
+const bigRows = 3000
+
+// loadBigCorpus loads the large-fixture tables: big (NULL rows,
+// exact-binary floats, repeated group keys) and dim (duplicate and NULL
+// join keys, itself several windows long).
+func loadBigCorpus(t *testing.T, s *Session) {
+	t.Helper()
+	mustExec(t, s, `CREATE TABLE big (id BIGINT PRIMARY KEY, a BIGINT, f DOUBLE, name TEXT, flag BOOLEAN)`)
+	for i := 0; i < bigRows; i++ {
+		if i%97 == 0 {
+			mustExec(t, s, `INSERT INTO big VALUES (?, NULL, NULL, NULL, NULL)`, sqltypes.NewInt(int64(i)))
+			continue
+		}
+		mustExec(t, s, `INSERT INTO big VALUES (?, ?, ?, ?, ?)`,
+			sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i%61)),
+			sqltypes.NewFloat(float64(i%13)*0.5), sqltypes.NewString(fmt.Sprintf("n_%d", i%50)),
+			sqltypes.NewBool(i%3 == 0))
+	}
+	mustExec(t, s, `CREATE TABLE dim (a BIGINT, label TEXT)`)
+	for i := 0; i < 2500; i++ {
+		if i%500 == 250 {
+			mustExec(t, s, `INSERT INTO dim VALUES (NULL, 'none')`)
+			continue
+		}
+		mustExec(t, s, `INSERT INTO dim VALUES (?, ?)`,
+			sqltypes.NewInt(int64(i%1250)), sqltypes.NewString(fmt.Sprintf("d_%d", i%40)))
+	}
+}
+
+// bigCorpus runs every batch operator (filter, projection, grouping,
+// join build and probe) over many windows, plus the stages downstream
+// of them (DISTINCT, ORDER BY, HAVING, LIMIT). Queries without ORDER BY
+// pin the raw output row and group order across windows.
+var bigCorpus = []string{
+	// Filters through the batch kernels.
+	`SELECT id, a FROM big WHERE a * 2 + 1 > 40 ORDER BY id`,
+	`SELECT id FROM big WHERE a IS NULL ORDER BY id`,
+	`SELECT id FROM big WHERE flag OR a > 55 ORDER BY id`,
+	`SELECT id FROM big WHERE name LIKE 'n_1%' ORDER BY id`,
+	`SELECT COUNT(*) FROM big WHERE f BETWEEN 1.0 AND 4.5`,
+	`SELECT id, a FROM big WHERE a % 7 = 3`, // no ORDER BY: raw row order
+	// Projections.
+	`SELECT id, a * 2, f + 0.5, name FROM big ORDER BY id LIMIT 50`,
+	`SELECT id, CASE WHEN a > 30 THEN 'hi' ELSE 'lo' END, COALESCE(a, -1) FROM big ORDER BY id LIMIT 40 OFFSET 2950`,
+	`SELECT id, a FROM big`, // full projection, raw row order
+	// Grouping: NULL keys, expression keys, floats, HAVING, DISTINCT agg.
+	`SELECT a, COUNT(*), SUM(f) FROM big GROUP BY a ORDER BY 1`,
+	`SELECT a % 7, MIN(f), MAX(f), AVG(f) FROM big WHERE a IS NOT NULL GROUP BY a % 7 ORDER BY 1`,
+	`SELECT a, COUNT(*) FROM big GROUP BY a HAVING COUNT(*) > 40 ORDER BY a`,
+	`SELECT flag, COUNT(DISTINCT a) FROM big GROUP BY flag ORDER BY 1`,
+	`SELECT name, SUM(a), COUNT(*) FROM big GROUP BY name ORDER BY 1`,
+	`SELECT a, COUNT(*) FROM big GROUP BY a`, // no ORDER BY: first-seen group order
+	`SELECT COUNT(*), SUM(a), MIN(f), MAX(name), AVG(f) FROM big`,
+	`SELECT SUM(a) FROM big WHERE a > 1000`, // empty input, global aggregate
+	// Hash joins over a multi-window build and probe.
+	`SELECT COUNT(*) FROM big JOIN dim ON big.a = dim.a`,
+	`SELECT big.id, dim.label FROM big JOIN dim ON big.a = dim.a AND big.id > 2900 ORDER BY big.id, dim.label`,
+	`SELECT COUNT(*) FROM big LEFT JOIN dim ON big.a = dim.a`,
+	`SELECT big.id, dim.label FROM big JOIN dim ON big.a = dim.a WHERE big.id % 101 = 0`, // no ORDER BY
+	// DISTINCT and set ops over batch-projected outputs.
+	`SELECT DISTINCT a FROM big ORDER BY 1`,
+	`SELECT a FROM big WHERE a < 5 UNION SELECT a FROM dim WHERE a < 5 ORDER BY 1`,
+}
+
+// checkVecVsRow runs corpus on a vectorized and a row-at-a-time engine,
+// both loaded by load, and requires identical results or identical
+// errors, batches on the vectorized side and none on the row side.
+func checkVecVsRow(t *testing.T, load func(t *testing.T, s *Session), corpus []string) {
+	t.Helper()
+	vecOn, vecOff := newVecTestPair(t, load)
+	for _, q := range corpus {
+		got, err1 := vecOn.Exec(q)
+		want, err2 := vecOff.Exec(q)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("%s:\nvec err = %v\nrow err = %v", q, err1, err2)
+		}
+		if err1 != nil {
+			if err1.Error() != err2.Error() {
+				t.Fatalf("%s: error mismatch:\nvec: %v\nrow: %v", q, err1, err2)
+			}
+			continue
+		}
+		if g, w := renderResult(got), renderResult(want); g != w {
+			t.Fatalf("%s:\nvec:\n%s\nrow:\n%s", q, g, w)
+		}
+	}
+	if batches, _ := vecOn.eng.VecStats(); batches == 0 {
+		t.Errorf("vectorized engine ran zero batches over the corpus")
+	}
+	if batches, fallbacks := vecOff.eng.VecStats(); batches != 0 || fallbacks != 0 {
+		t.Errorf("DisableVectorize engine ran %d batches, %d fallbacks", batches, fallbacks)
+	}
+}
+
+// TestVectorizedLargeCorpusEquivalence runs the large corpus, whose
+// inputs span many batch windows, on the batch path and row-at-a-time:
+// results must render type-exactly identical, including the raw row and
+// group order of the queries without ORDER BY.
+func TestVectorizedLargeCorpusEquivalence(t *testing.T) {
+	checkVecVsRow(t, loadBigCorpus, bigCorpus)
+}
+
 // TestVectorizedVsRowEquivalence pins the batch path to bit-identical
 // results against row-at-a-time execution over the full compile-test
 // corpus plus vec-specific shapes (batch-boundary row counts, LIKE
 // kernels, logical narrowing, hash-sensitive group keys).
 func TestVectorizedVsRowEquivalence(t *testing.T) {
-	corpus := []string{
+	small := []string{
 		// Filters through the native kernels.
 		`SELECT id, a FROM nums WHERE a * 2 + 1 > 7 ORDER BY id`,
 		`SELECT id FROM nums WHERE a IS NULL ORDER BY id`,
@@ -69,29 +174,7 @@ func TestVectorizedVsRowEquivalence(t *testing.T) {
 		`SELECT id FROM nums ORDER BY id LIMIT 5 OFFSET 3`,
 		`SELECT id FROM nums LIMIT 0`,
 	}
-	vecOn, vecOff := newVecTestPair(t, loadCompileCorpus)
-	for _, q := range corpus {
-		got, err1 := vecOn.Exec(q)
-		want, err2 := vecOff.Exec(q)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%s:\nvec err = %v\nrow err = %v", q, err1, err2)
-		}
-		if err1 != nil {
-			if err1.Error() != err2.Error() {
-				t.Fatalf("%s: error mismatch:\nvec: %v\nrow: %v", q, err1, err2)
-			}
-			continue
-		}
-		if g, w := renderResult(got), renderResult(want); g != w {
-			t.Fatalf("%s:\nvec:\n%s\nrow:\n%s", q, g, w)
-		}
-	}
-	if batches, _ := vecOn.eng.VecStats(); batches == 0 {
-		t.Errorf("vectorized engine ran zero batches over the corpus")
-	}
-	if batches, fallbacks := vecOff.eng.VecStats(); batches != 0 || fallbacks != 0 {
-		t.Errorf("DisableVectorize engine ran %d batches, %d fallbacks", batches, fallbacks)
-	}
+	checkVecVsRow(t, loadCompileCorpus, small)
 }
 
 // TestVecBatchBoundaries runs batch-kernel queries over row counts
@@ -169,6 +252,49 @@ func TestVecFallbackReproducesRowErrors(t *testing.T) {
 	}
 	if _, fallbacks := vecOn.eng.VecStats(); fallbacks == 0 {
 		t.Errorf("expected batch fallbacks, got none")
+	}
+}
+
+// TestVecErrorIdentityAcrossWindows pins the first-error-in-row-order
+// contract over many batch windows: two distinct failing rows live in
+// different windows, and the batch path must surface exactly the row
+// path's error — the one from the lower-indexed row — for filters,
+// projections, grouped aggregates and join build and probe keys.
+func TestVecErrorIdentityAcrossWindows(t *testing.T) {
+	vecOn, vecOff := newVecTestPair(t, func(t *testing.T, s *Session) {
+		mustExec(t, s, `CREATE TABLE t (a BIGINT, b BIGINT, name TEXT)`)
+		for i := 0; i < 4000; i++ {
+			b := int64(i%7 + 1)
+			name := fmt.Sprintf("%d", i)
+			switch i {
+			case 2100: // third window
+				b, name = 0, "badA"
+			case 3500: // fourth window
+				b, name = 0, "badB"
+			}
+			mustExec(t, s, `INSERT INTO t VALUES (?, ?, ?)`,
+				sqltypes.NewInt(int64(i)), sqltypes.NewInt(b), sqltypes.NewString(name))
+		}
+	})
+	for _, q := range []string{
+		`SELECT a FROM t WHERE 10 / b > 1`,                          // filter kernel error
+		`SELECT a, 10 / b FROM t`,                                   // projection kernel error
+		`SELECT CAST(name AS BIGINT) FROM t WHERE a >= 2000`,        // value-carrying error: must name badA, not badB
+		`SELECT b, SUM(10 / b) FROM t GROUP BY b`,                   // grouped argument error
+		`SELECT x.a FROM t AS x JOIN t AS y ON 10 / x.b = y.a`,      // probe key error
+		`SELECT COUNT(*) FROM t AS x JOIN t AS y ON x.a = 10 / y.b`, // build key error
+	} {
+		_, err1 := vecOn.Exec(q)
+		_, err2 := vecOff.Exec(q)
+		if err1 == nil || err2 == nil {
+			t.Fatalf("%s: expected errors, vec %v, row %v", q, err1, err2)
+		}
+		if err1.Error() != err2.Error() {
+			t.Fatalf("%s: error mismatch:\nvec: %v\nrow: %v", q, err1, err2)
+		}
+		if strings.Contains(err1.Error(), "badB") {
+			t.Fatalf("%s: error names the later row: %v", q, err1)
+		}
 	}
 }
 

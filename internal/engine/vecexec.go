@@ -341,65 +341,14 @@ func (a *vecAgg) finalize(gid int) sqltypes.Value {
 	}
 }
 
-// mergeFrom folds another accumulator's partial state for group `from`
-// into this accumulator's group `to`, with computeAggregate's exact
-// semantics: counts add, SUM/AVG partial sums combine under the same
-// float promotion and int64-overflow promotion rules, and MIN/MAX
-// resolve via sqltypes.Compare with NULLs (untouched groups) skipped.
-// The morsel-parallel grouped path uses it to merge per-worker
-// accumulator tables; a Compare error makes the caller fall back to the
-// serial row path, like any other grouped-batch error.
-func (a *vecAgg) merge(src *vecAgg, from, to int) error {
-	if from >= len(src.count) {
-		return nil // the source accumulator never touched this group
-	}
-	a.count[to] += src.count[from]
-	switch a.fc.Name {
-	case "COUNT":
-	case "SUM", "AVG":
-		if src.isF[from] {
-			if !a.isF[to] {
-				a.isF[to] = true
-				a.sumF[to] = float64(a.sumI[to])
-			}
-			a.sumF[to] += src.sumF[from]
-		} else if a.isF[to] {
-			a.sumF[to] += float64(src.sumI[from])
-		} else if s, ok := addInt64(a.sumI[to], src.sumI[from]); ok {
-			a.sumI[to] = s
-		} else {
-			a.isF[to] = true
-			a.sumF[to] = float64(a.sumI[to]) + float64(src.sumI[from])
-		}
-	case "MIN", "MAX":
-		if src.best[from].IsNull() {
-			return nil
-		}
-		if a.best[to].IsNull() {
-			a.best[to] = src.best[from]
-			return nil
-		}
-		c, err := sqltypes.Compare(src.best[from], a.best[to])
-		if err != nil {
-			return err
-		}
-		if (a.fc.Name == "MIN" && c < 0) || (a.fc.Name == "MAX" && c > 0) {
-			a.best[to] = src.best[from]
-		}
-	}
-	return nil
-}
-
 // vecGroup buckets src.rows by the plan's GROUP BY keys batch-at-a-
 // time — key vectors hashed column-wise, one probe per row against
 // pre-computed hashes — and streams the vectorizable aggregates into
 // dense per-group accumulators. ok is false when any batch errors, in
 // which case the caller runs the entire grouped path row-at-a-time
 // (groups must be complete before aggregation, so there is no
-// per-window fallback here). The returned row index maps dense group
-// ids back to key rows; the morsel-parallel path merges per-worker
-// tables through it.
-func (x *executor) vecGroup(plan *selPlan, src *source) (groups []*group, vaggs []*vecAgg, gix *rowIndex, ok bool) {
+// per-window fallback here).
+func (x *executor) vecGroup(plan *selPlan, src *source) (groups []*group, vaggs []*vecAgg, ok bool) {
 	nKeys := len(plan.groupBy)
 	vaggs = make([]*vecAgg, len(plan.vecAggs))
 	for i, spec := range plan.vecAggs {
@@ -444,7 +393,7 @@ func (x *executor) vecGroup(plan *selPlan, src *source) (groups []*group, vaggs 
 				v, err := plan.vecGB.nodes[k].eval(vx, vx.selAll)
 				if err != nil {
 					x.eng.vecFallbacks.Add(1)
-					return nil, nil, nil, false
+					return nil, nil, false
 				}
 				keyVecs[k] = v
 			}
@@ -480,13 +429,13 @@ func (x *executor) vecGroup(plan *selPlan, src *source) (groups []*group, vaggs 
 			v, err := va.node.eval(vx, vx.selAll)
 			if err != nil {
 				x.eng.vecFallbacks.Add(1)
-				return nil, nil, nil, false
+				return nil, nil, false
 			}
 			for i := 0; i < vx.n; i++ {
 				va.grow(gids[i])
 				if err := va.accumulate(gids[i], v.Get(i)); err != nil {
 					x.eng.vecFallbacks.Add(1)
-					return nil, nil, nil, false
+					return nil, nil, false
 				}
 			}
 		}
@@ -495,5 +444,5 @@ func (x *executor) vecGroup(plan *selPlan, src *source) (groups []*group, vaggs 
 		// Zero input rows still form one (empty) group, like groupRows.
 		groups = append(groups, &group{})
 	}
-	return groups, vaggs, ix, true
+	return groups, vaggs, true
 }

@@ -184,7 +184,6 @@ type openConfig struct {
 	cost         bool
 	observer     obs.Tracer
 	noStmtCache  bool
-	workers      int
 	backend      string
 	dataDir      string
 	poolPages    int
@@ -270,14 +269,6 @@ func WithoutStmtCache() OpenOption {
 	return func(c *openConfig) { c.noStmtCache = true }
 }
 
-// WithWorkers sets the embedded engine's intra-query parallelism
-// degree: morsel-driven parallel scans, joins and aggregation over a
-// shared pool of n goroutines. 0 means one worker per CPU; 1 is
-// exactly the serial path. Results are bit-identical at every setting.
-func WithWorkers(n int) OpenOption {
-	return func(c *openConfig) { c.workers = n }
-}
-
 // WithWALCheckpointBytes starts the embedded disk backend's background
 // checkpointer: a table whose write-ahead log grows past n bytes is
 // checkpointed (pages flushed, WAL truncated) without waiting for a
@@ -315,7 +306,6 @@ func engineConfig(profile string, oc openConfig) (engine.Config, error) {
 	if oc.noStmtCache {
 		cfg.StmtCacheSize = -1
 	}
-	cfg.Workers = oc.workers
 	cfg.DataDir = oc.dataDir
 	cfg.BufferPoolPages = oc.poolPages
 	cfg.WALCheckpointBytes = oc.walCkptBytes
